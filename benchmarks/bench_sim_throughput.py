@@ -20,7 +20,7 @@ from conftest import pedantic_once
 from repro.machines import get_machine
 from repro.perf.cache import SimCache, cached_run_trace, digest_for
 from repro.sim import SimConfig, run_trace
-from repro.xmem.kernels import resident_trace, scatter_trace, throughput_trace
+from repro.xmem.kernels import resident_trace, throughput_trace
 
 THREADS = 4
 ACCESSES = 4000
@@ -32,14 +32,6 @@ EVENTS_PER_SEC_FLOOR = int(os.environ.get("REPRO_BENCH_FLOOR", "30000"))
 #: The batch-stepping acceptance bar: accesses/sec on the L1-resident
 #: workload must improve by at least this factor over the event engine.
 BATCH_SPEEDUP_FLOOR = 5.0
-
-#: The batched-miss acceptance bar (ISSUE 10): wall-clock on the cold
-#: scatter workload must improve by at least this factor.  Speedup is a
-#: same-host ratio so it tolerates slow CI machines, but noisy shared
-#: hosts can still override it alongside ``REPRO_BENCH_FLOOR``.
-MISS_BATCH_SPEEDUP_FLOOR = float(
-    os.environ.get("REPRO_BENCH_FLOOR_MISS_BATCH", "3.0")
-)
 
 
 def _inputs(machine_name):
@@ -98,43 +90,6 @@ def test_sim_batch_speedup(benchmark, printed):
             "batched)"
         )
     assert speedup >= BATCH_SPEEDUP_FLOOR
-
-
-def test_sim_miss_batch_speedup(benchmark, printed):
-    """Batched miss retirement: >= 3x on the cold scatter workload.
-
-    The scatter trace is the regime today's all-hit batch path
-    degenerates to ~0% batched fraction on: nearly every access misses
-    to memory.  With gaps above the loaded latency every fill drains
-    before the next issue, so the miss fast path retires the whole
-    trace closed-form and the event engine fires a constant handful of
-    handoff events instead of ~5 per access.
-    """
-    machine = get_machine("knl")
-    trace = scatter_trace(
-        threads=1,
-        accesses_per_thread=20_000,
-        line_bytes=machine.line_bytes,
-    )
-    common = dict(machine=machine, sim_cores=1, window_per_core=12, tlb_entries=0)
-    event_stats = run_trace(trace, SimConfig(batch=False, **common))
-    batch_stats = pedantic_once(
-        benchmark, run_trace, trace, SimConfig(batch=True, **common)
-    )
-
-    assert batch_stats.fingerprint() == event_stats.fingerprint()
-    assert batch_stats.batch_miss_accesses > 0.9 * batch_stats.issued_total()
-    speedup = event_stats.wall_s / batch_stats.wall_s
-    if "miss-batch-speedup" not in printed:
-        printed.add("miss-batch-speedup")
-        print(
-            f"\nmiss batch fast path: {batch_stats.wall_s * 1e3:.0f} ms vs "
-            f"event {event_stats.wall_s * 1e3:.0f} ms = {speedup:.1f}x "
-            f"({batch_stats.batch_miss_accesses}/{batch_stats.issued_total()} "
-            f"batched, events {event_stats.events_fired}->"
-            f"{batch_stats.events_fired})"
-        )
-    assert speedup >= MISS_BATCH_SPEEDUP_FLOOR
 
 
 def test_warm_cache_beats_resimulation(benchmark, printed, tmp_path):

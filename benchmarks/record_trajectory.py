@@ -46,7 +46,6 @@ from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace  # noqa: E402
 from repro.workloads.generators import random_updates  # noqa: E402
 from repro.xmem.kernels import (  # noqa: E402
     resident_trace,
-    scatter_trace,
     throughput_trace,
 )
 from repro.xmem.runner import XMemConfig, XMemRunner  # noqa: E402
@@ -57,7 +56,9 @@ ACCESSES = 4000
 
 #: Bumped when a record's shape changes; readers can dispatch on it.
 #: v3: sim_throughput records gain the ``miss_batch`` block.
-SCHEMA_VERSION = 3
+#: v4: the ``miss_batch`` block is dropped (batched miss retirement was
+#: removed from the simulator).
+SCHEMA_VERSION = 4
 
 
 def out_path(bench: str) -> Path:
@@ -141,26 +142,6 @@ def _batch_speedup() -> dict:
         "batch_accesses_per_sec": batch.accesses_per_sec(),
         "event_accesses_per_sec": event.accesses_per_sec(),
         "batched_fraction": batch.batch_accesses / batch.issued_total(),
-        "fingerprint_equal": batch.fingerprint() == event.fingerprint(),
-    }
-
-
-def _miss_batch_speedup() -> dict:
-    """Batched miss retirement (ISSUE 10): cold scatter, drainable gaps."""
-    machine = get_machine("knl")
-    trace = scatter_trace(
-        threads=1,
-        accesses_per_thread=20_000,
-        line_bytes=machine.line_bytes,
-    )
-    common = dict(machine=machine, sim_cores=1, window_per_core=12, tlb_entries=0)
-    event = run_trace(trace, SimConfig(batch=False, **common))
-    batch = run_trace(trace, SimConfig(batch=True, **common))
-    return {
-        "speedup": event.wall_s / batch.wall_s if batch.wall_s > 0 else float("inf"),
-        "event_wall_s": event.wall_s,
-        "batch_wall_s": batch.wall_s,
-        "batched_fraction": batch.batch_miss_accesses / batch.issued_total(),
         "fingerprint_equal": batch.fingerprint() == event.fingerprint(),
     }
 
@@ -282,7 +263,6 @@ def _record_sim_throughput() -> dict:
         "trace_gen_accesses_per_sec": _gen_throughput(),
         "warm_cache_speedup": warm_speedup,
         "batch": _batch_speedup(),
-        "miss_batch": _miss_batch_speedup(),
     }
 
 
@@ -326,12 +306,6 @@ def _summarize(name: str, entry: dict) -> None:
         print(
             f"  batch fast path: {batch['speedup']:.1f}x "
             f"(fingerprint equal: {batch['fingerprint_equal']})"
-        )
-        miss = entry["miss_batch"]
-        print(
-            f"  miss batch fast path: {miss['speedup']:.1f}x "
-            f"({miss['batched_fraction']:.0%} batched, "
-            f"fingerprint equal: {miss['fingerprint_equal']})"
         )
     elif name == "analytic_speedup":
         for mname, row in entry["machines"].items():

@@ -10,12 +10,7 @@ LRU replay, and enforces:
 * **event-monotonic** — engine event times never decrease and are
   always finite (the ``(time, seq)`` heap contract, checked per event);
 * **mshr-balance** — every MSHR allocate has a matching release by end
-  of run; leaks are reported with their allocation-site tags.  The
-  batched miss path feeds the same audit: ``allocate_batch`` /
-  ``release_batch`` and ``commit_batch`` replay their merged per-event
-  streams through ``enter``/``exit`` in engine order (sites
-  ``allocate_batch`` / ``request_batch``), so batched-miss runs are
-  checked with the same invariants and tolerances as scalar ones;
+  of run; leaks are reported with their allocation-site tags;
 * **batch-replay** — at every ``flush_batch`` the deferred LRU replay
   must leave ``CacheArray``/``Tlb`` state *identical* to a scalar
   re-execution of the queued runs (the fast path's core contract);

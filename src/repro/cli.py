@@ -88,12 +88,10 @@ def _print_sanitizer_summary() -> None:
 def _print_batch_notice(args: argparse.Namespace, stats: "object") -> None:
     """One-line ``-v`` diagnosis when the batch fast path fell back.
 
-    A zero-batched-fraction run is otherwise silent (the paths are
-    bit-identical by contract), so surface *why*: per-reason fallback
-    counts from :attr:`~repro.sim.stats.SimStats.batch_fallbacks`
-    (``smt`` = batch disabled wholesale, ``handoff``/``mshr_pressure``/
-    … = individual runs replayed through the event engine; reason table
-    in docs/PERFORMANCE.md).
+    A zero-batched-fraction run is otherwise silent, so surface *why*:
+    the per-reason counts from
+    :attr:`~repro.sim.stats.SimStats.batch_fallbacks` (``smt`` = batch
+    disabled wholesale because SMT threads share a core's L1/TLB).
     """
     if not getattr(args, "verbose", False):
         return
@@ -372,7 +370,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sim_cores=cores,
             window_per_core=args.window,
             batch=args.batch,
-            batch_miss=args.batch_miss,
         ),
     )
     print(
@@ -671,17 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="batch-stepping fast path: retire provable L1-hit runs "
         "vectorized, falling back to the event engine for the miss "
-        "stream (results are bit-identical; --no-batch forces the "
-        "pure event engine)",
-    )
-    perf_flags.add_argument(
-        "--batch-miss",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batched miss retirement: also retire runs containing "
-        "misses closed-form when the replay is provably exact "
-        "(requires --batch; results are bit-identical; "
-        "--no-batch-miss restricts batching to all-hit runs)",
+        "stream; --no-batch forces the pure event engine, which is the "
+        "reference (results are not bit-identical everywhere: the batch "
+        "path diverges on comd/knl and comd/a64fx, see "
+        "docs/PERFORMANCE.md)",
     )
     perf_flags.add_argument(
         "--retries",

@@ -63,22 +63,6 @@ def _check_utilization(utilization: float) -> float:
     return min(utilization, 1.0)
 
 
-def _check_utilization_batch(utilization: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_check_utilization`: validate and clamp a vector."""
-    if not np.isfinite(utilization).all():
-        bad = utilization[~np.isfinite(utilization)][0]
-        raise ProfileDomainError(f"utilization must be finite, got {bad}")
-    if (utilization < 0.0).any():
-        bad = float(utilization[utilization < 0.0][0])
-        raise ProfileDomainError(f"utilization must be >= 0, got {bad}")
-    if (utilization > _CLAMP_LIMIT).any():
-        bad = float(utilization[utilization > _CLAMP_LIMIT][0])
-        raise ProfileDomainError(
-            f"utilization {bad:.3f} exceeds clamp limit {_CLAMP_LIMIT}"
-        )
-    return np.minimum(utilization, 1.0)
-
-
 @dataclass(frozen=True)
 class TabulatedLatencyModel:
     """Monotone piecewise-linear latency curve through control points.
@@ -146,21 +130,6 @@ class TabulatedLatencyModel:
         value = float(np.interp(u, utils, lats))
         return float(min(max(value, lats[0]), lats[-1]))
 
-    def latency_ns_batch(self, utilization: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`latency_ns`, elementwise bit-identical.
-
-        ``np.interp`` evaluates each element with the same compiled
-        interpolation the scalar call uses, and ``np.clip`` performs the
-        identical ``min(max(...))`` pair, so ``latency_ns_batch(u)[i] ==
-        latency_ns(u[i])`` bit-for-bit.  Used by the batched miss fast
-        path, where the per-call array construction of the scalar method
-        dominates the planning cost.
-        """
-        u = _check_utilization_batch(utilization)
-        utils = np.array([p[0] for p in self.points])
-        lats = np.array([p[1] for p in self.points])
-        return np.clip(np.interp(u, utils, lats), lats[0], lats[-1])
-
 
 @dataclass(frozen=True)
 class QueueingLatencyModel:
@@ -199,21 +168,6 @@ class QueueingLatencyModel:
         queue_u = min(u, self.cap)
         growth = self.alpha * u + self.beta * (queue_u**self.gamma) / (1.0 - queue_u)
         return self.idle_ns * (1.0 + growth)
-
-    def latency_ns_batch(self, utilization: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`latency_ns` (bit-identical scalar replay).
-
-        Deliberately loops rather than using ``np.power``: numpy's pow
-        special-cases small integer exponents (``u*u*u``) while Python's
-        ``**`` always calls libm ``pow``, and the two can differ in the
-        last ulp — which would break the fast path's bit-identity
-        contract.  The queueing model is only used for synthetic
-        machines, so the loop is not a measured bottleneck.
-        """
-        return np.array(
-            [self.latency_ns(float(u)) for u in utilization.tolist()],
-            dtype=np.float64,
-        )
 
 
 def model_for_machine(machine) -> LatencyModel:

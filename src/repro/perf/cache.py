@@ -74,7 +74,9 @@ from ..sim.stats import SimStats
 #: v4: batched miss retirement — SimConfig gained ``batch_miss`` and
 #: SimStats gained ``batch_miss_accesses``/``batch_fallbacks``; v3
 #: entries lack the new stats fields and must not be replayed.
-SCHEMA_VERSION = 4
+#: v5: batched miss retirement removed — SimConfig lost ``batch_miss``,
+#: so the config payload (and every digest) changed shape.
+SCHEMA_VERSION = 5
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 

@@ -6,8 +6,10 @@ lives.  An L1 hit, by contrast, is pure arithmetic: it completes a
 fixed ``l1_hit_ns`` after issue, touches nothing shared, and cannot
 change which later accesses hit or miss (hits never install or evict
 lines).  This module computes, for a candidate run of upcoming
-accesses, how long a prefix the simulator may retire *in one step*
-with observables bit-identical to the event engine:
+accesses, how long a prefix the simulator may retire *in one step*,
+aiming at observables bit-identical to the event engine (which stays
+the reference: on the ``comd`` paper cells for KNL and A64FX the two
+still disagree, see docs/PERFORMANCE.md):
 
 * :func:`issue_times` reproduces the event path's chained issue-time
   floats exactly (``np.cumsum`` performs the same left-to-right adds);
@@ -92,127 +94,3 @@ def run_length(ok: np.ndarray) -> int:
     if ok.all():
         return len(ok)
     return int(np.argmin(ok))
-
-
-# -- miss-run planning helpers (vectorized MSHR/memctrl fast path) -------------
-#
-# Every helper below is *prefix-consistent*: the value it computes for
-# access ``j`` depends only on accesses ``i < j``, so a run planned at
-# full lookahead can be truncated at the minimum of all cut points
-# without recomputation — the surviving prefix's values are unchanged.
-
-
-def window_admissible_mixed(
-    t: np.ndarray, completion: np.ndarray, window: int
-) -> np.ndarray:
-    """Per-access window check for a mixed hit/miss run.
-
-    Generalizes :func:`window_admissible` to runs where each access has
-    its own completion time (``t + l1_hit_ns`` for hits, the L1 fill
-    time for misses).  Completions at exactly ``t[j]`` count as retired
-    (the completion event carries the lower tie-break sequence number —
-    it was scheduled strictly earlier); miss-completion/issue ties are
-    cut upstream by :func:`first_member`, so only the hit tie rule is
-    exercised here.  Entries past the first ``False`` are meaningless;
-    cut via :func:`run_length`.
-    """
-    completed = np.searchsorted(np.sort(completion), t, side="right")
-    in_flight = np.arange(len(t)) - completed
-    return in_flight < window
-
-
-def mshr_admissible(
-    t: np.ndarray,
-    is_alloc: np.ndarray,
-    release_t: np.ndarray,
-    capacity: int,
-) -> np.ndarray:
-    """Per-access MSHR-capacity check for a planned run.
-
-    ``is_alloc`` marks the accesses that would allocate an entry in the
-    file; ``release_t`` holds their release times in the same order
-    (length ``is_alloc.sum()``).  The occupancy a candidate allocation
-    at ``t[j]`` would observe is the number of earlier in-run
-    allocations not yet released — releases after ``t[j]`` keep their
-    entry live.  A release can only predate ``t[j]`` if its allocation
-    did (service latency is positive), so one global ``searchsorted``
-    over the sorted release times is exact.  Must stay strictly below
-    ``capacity`` or the event path would have stalled the core.
-    """
-    prior_allocs = np.cumsum(is_alloc) - is_alloc
-    released = np.searchsorted(np.sort(release_t), t, side="right")
-    occupancy = prior_allocs - released
-    return ~is_alloc | (occupancy < capacity)
-
-
-def conflict_free(
-    t: np.ndarray,
-    set_idx: np.ndarray,
-    check: np.ndarray,
-    fill_sets: np.ndarray,
-    fill_times: np.ndarray,
-) -> np.ndarray:
-    """Snapshot-validity check against in-run fills.
-
-    An access at position ``j`` whose hit/miss classification came from
-    a residency snapshot is only trustworthy while no in-run fill has
-    landed in its set: a fill can evict the line a planned hit relies
-    on.  ``check`` marks the positions that need the guarantee;
-    ``fill_sets``/``fill_times`` describe every fill the run would
-    perform.  Conservative: any same-set fill at or before ``t[j]``
-    invalidates ``j``, whether or not it actually evicts.  Fills from
-    accesses after ``j`` land strictly after ``t[j]`` (service latency
-    is positive), so the per-set minimum over *all* fills is exact for
-    the prefix.
-    """
-    ok = np.ones(len(t), dtype=bool)
-    if not len(fill_sets) or not check.any():
-        return ok
-    order = np.argsort(fill_sets, kind="stable")
-    sorted_sets = fill_sets[order]
-    sorted_times = fill_times[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_sets[1:] != sorted_sets[:-1]]
-    )
-    uniq = sorted_sets[starts]
-    earliest = np.minimum.reduceat(sorted_times, starts)
-    pos = np.searchsorted(uniq, set_idx)
-    np.minimum(pos, len(uniq) - 1, out=pos)
-    has_fill = uniq[pos] == set_idx
-    first_fill = np.where(has_fill, earliest[pos], np.inf)
-    return ~check | (t < first_fill)
-
-
-def first_duplicate(values: np.ndarray) -> int:
-    """Index of the first element equal to an earlier element (else len).
-
-    Used to cut a miss run before a repeated line address: a duplicate
-    would merge onto the in-flight MSHR entry on the event path, a case
-    the batched replay does not model.
-    """
-    n = len(values)
-    if n < 2:
-        return n
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    dup = sorted_values[1:] == sorted_values[:-1]
-    if not dup.any():
-        return n
-    return int(order[1:][dup].min())
-
-
-def first_member(t: np.ndarray, boundaries: np.ndarray) -> int:
-    """Index of the first element of ``t`` present in ``boundaries``.
-
-    Used to cut a run at a float-time collision between an issue attempt
-    and an in-run fill/completion: the event engine's firing order for
-    such a tie depends on scheduling history the planner cannot
-    reconstruct, so the colliding access replays through the engine.
-    Returns ``len(t)`` when no element collides.
-    """
-    if not len(boundaries):
-        return len(t)
-    mask = np.isin(t, boundaries)
-    if not mask.any():
-        return len(t)
-    return int(np.argmax(mask))

@@ -43,7 +43,6 @@ class CacheArray:
         "_sanitizer",
         "_faults",
         "_flushes",
-        "maybe_dirty",
     )
 
     def __init__(self, spec: CacheSpec, name: str) -> None:
@@ -66,11 +65,6 @@ class CacheArray:
         self.fills = 0
         self.evictions = 0
         self.dirty_evictions = 0
-        #: Conservative sticky flag: set on any write access, dirty
-        #: fill, or batched write touch; never cleared.  While False the
-        #: array provably holds no dirty line, so fills cannot produce
-        #: writebacks — a precondition of the batched miss fast path.
-        self.maybe_dirty = False
         #: Optional sanitizer replay checker (set by RunSanitizer).
         self._sanitizer = None
         self._flushes = 0
@@ -101,8 +95,6 @@ class CacheArray:
         """
         if self._pending:
             self.flush_batch()
-        if write:
-            self.maybe_dirty = True
         ways = self._sets[(line_addr // self.line_bytes) % self.num_sets]
         for i, (tag, dirty) in enumerate(ways):
             if tag == line_addr:
@@ -119,8 +111,6 @@ class CacheArray:
         """
         if self._pending:
             self.flush_batch()
-        if dirty:
-            self.maybe_dirty = True
         idx = self._set_index(line_addr)
         ways = self._sets[idx]
         for i, (tag, was_dirty) in enumerate(ways):
@@ -140,50 +130,11 @@ class CacheArray:
         ways.append((line_addr, dirty))
         return victim_writeback
 
-    def fill_batch(self, line_addrs: np.ndarray) -> None:
-        """Install a run of lines; equivalent to :meth:`fill` per element.
-
-        Callers must guarantee the batched-miss-path preconditions:
-        every line is currently absent, no line appears twice, and the
-        array holds no dirty line (``maybe_dirty`` is False), so no
-        eviction can produce a writeback.  Under those conditions the
-        scalar :meth:`fill`'s presence scan always misses and its victim
-        is always clean, so this reduces to the pure install/evict loop
-        — same ``fills``/``evictions`` counters, same final LRU state.
-        A dirty victim raises (the caller's precondition was violated).
-        """
-        if self._pending:
-            self.flush_batch()
-        if not len(line_addrs):
-            return
-        self.fills += len(line_addrs)
-        self._resident_cache = None
-        sets = self._sets
-        ways_max = self.ways
-        evictions = 0
-        set_indices = (line_addrs // self.line_bytes % self.num_sets).tolist()
-        for line, idx in zip(line_addrs.tolist(), set_indices):
-            ways = sets[idx]
-            if len(ways) >= ways_max:
-                victim_addr, victim_dirty = ways.pop(0)
-                evictions += 1
-                if victim_dirty:
-                    raise SimulationError(
-                        f"{self.name}: fill_batch evicted dirty line "
-                        f"{hex(victim_addr)} (clean-array precondition violated)"
-                    )
-            ways.append((line, False))
-        self.evictions += evictions
-
     # -- vectorized probe surface (batch-stepping fast path) -------------------
 
     def line_of_batch(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`line_of`: aligned line address per element."""
         return addrs // self.line_bytes * self.line_bytes
-
-    def set_index_batch(self, line_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized set index per line address."""
-        return (line_addrs // self.line_bytes) % self.num_sets
 
     def probe_batch(self, line_addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`probe`: per-element residency, no LRU update.
@@ -226,8 +177,6 @@ class CacheArray:
         :meth:`flush_batch`.
         """
         if len(line_addrs):
-            if writes.any():
-                self.maybe_dirty = True
             if self._sanitizer is not None:
                 self._sanitizer.on_touch(line_addrs, writes)
             self._pending.append((line_addrs, writes))

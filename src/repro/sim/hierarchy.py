@@ -89,25 +89,15 @@ class SimConfig:
     batch:
         Enable the batch-stepping fast path: runs of provably
         interaction-free L1 hits retire vectorized instead of one event
-        at a time, with bit-identical observables
-        (``SimStats.fingerprint()`` equality; see docs/PERFORMANCE.md).
+        at a time.  The event engine (``batch=False``) is the reference;
+        the two agree on most traces but not all — on the ``comd``
+        paper cells for KNL and A64FX the MSHR occupancy integrals, and
+        so ``SimStats.fingerprint()``, differ (docs/PERFORMANCE.md).
         Inert under SMT — threads sharing a core's L1/TLB interleave at
         event granularity, so the simulator falls back to the event
         path when ``threads_per_core > 1``; the fallback is recorded in
         ``SimStats.batch_fallbacks`` (and printed by the CLI under
         ``-v``) instead of being silent.
-    batch_miss:
-        Extend the batch fast path to runs *containing L1 misses*: the
-        MSHR allocate/release stream, the memory controller's admission
-        and loaded-latency arithmetic, and the L2 lookup are replayed
-        closed-form with the event path's exact chained-float
-        arithmetic, so fingerprints stay bit-identical.  Requires
-        ``batch``; inert when the shared L3 is modeled (L3 fills and
-        the L3-victim writeback path stay event-driven).  Runs fall
-        back to the event engine whenever a precondition fails
-        (SMT, page walks, prefetcher emission, dirty lines, timing
-        ties…) — see docs/PERFORMANCE.md for the full table; every
-        fallback is tallied by reason in ``SimStats.batch_fallbacks``.
     """
 
     machine: MachineSpec
@@ -125,7 +115,6 @@ class SimConfig:
     l3_kib_per_core: int = 1408
     l3_hit_cycles: float = 60.0
     batch: bool = True
-    batch_miss: bool = True
 
     def __post_init__(self) -> None:
         if self.sim_cores <= 0:
@@ -240,13 +229,6 @@ class Hierarchy:
             # CLI (and anyone diffing SimStats) can see why a requested
             # fast path never engaged.
             self.stats.note_batch_fallback("smt")
-        #: Miss-run batching additionally requires the L3 to be off (L3
-        #: fills and L3-victim writebacks stay event-driven).
-        self.batch_miss_enabled = (
-            self.batch_enabled and config.batch_miss and not config.l3_enabled
-        )
-        if self.batch_enabled and config.batch_miss and not self.batch_miss_enabled:
-            self.stats.note_batch_fallback("l3")
         #: Opt-in runtime invariant checking (reprosan).  The sanitizer
         #: attaches observation-only hooks to the engine, MSHR files,
         #: memory controller and batch-touched arrays; a sanitized run

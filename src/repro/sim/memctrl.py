@@ -26,8 +26,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..memory.latency_model import LatencyModel
 from ..units import GIGA, ns
@@ -198,122 +196,6 @@ class MemoryController:
             self.engine.schedule(latency, on_complete)
 
         self.engine.schedule_at(admit, _admit)
-
-    # -- closed-form batch service (batch-stepping miss fast path) --------------
-
-    def plan_batch(
-        self, issue_ns: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Closed-form service plan for a run of demand-read misses.
-
-        Computes, *without mutating controller state*, the admission
-        time and loaded latency each request would receive from the
-        event path: the admission recurrence ``admit = max(issue,
-        next_free); next_free = admit + slot_ns`` chains exactly as
-        sequential :meth:`request` calls would, and the utilization
-        window replays the same deque arithmetic against a copy, so
-        every float is bit-identical to the scalar service.  Returns
-        ``(admit, latency)``; each completion time is ``admit +
-        latency`` — the same single float add the engine performs when
-        scheduling the completion from the admission event.  The caller
-        commits a (possibly truncated) prefix via :meth:`commit_batch`
-        once its run cuts are final.
-        """
-        n = len(issue_ns)
-        admit = np.empty(n, dtype=np.float64)
-        utils = np.empty(n, dtype=np.float64)
-        recent = deque(self._recent)
-        recent_bytes = self._recent_bytes
-        next_free = self._next_free_ns
-        slot = self.slot_ns
-        line_bytes = self.line_bytes
-        window_ns = self.window_ns
-        window_s = ns(window_ns)
-        peak = self.peak_bw_bytes
-        for i, t in enumerate(issue_ns.tolist()):
-            a = t if t > next_free else next_free
-            next_free = a + slot
-            # _note_admission(a, line_bytes) against the copy.
-            recent.append((a, line_bytes))
-            recent_bytes += line_bytes
-            cutoff = a - window_ns
-            while recent and recent[0][0] < cutoff:
-                recent_bytes -= recent.popleft()[1]
-            # utilization(a): the eviction above already used cutoff for
-            # time ``a`` and the deque is non-empty (just appended).
-            util = recent_bytes / window_s / peak
-            if util > 1.0:
-                util = 1.0
-            admit[i] = a
-            utils[i] = util
-        # The admission recurrence never depends on latency values, so
-        # the curve is consulted once for the whole run.  Models expose
-        # latency_ns_batch with a bit-identity guarantee; anything else
-        # falls back to elementwise scalar calls.
-        latency_batch = getattr(self.latency_model, "latency_ns_batch", None)
-        if latency_batch is not None:
-            latency = np.asarray(latency_batch(utils), dtype=np.float64)
-        else:
-            latency_of = self.latency_model.latency_ns
-            latency = np.array(
-                [latency_of(u) for u in utils.tolist()], dtype=np.float64
-            )
-        return admit, latency
-
-    def commit_batch(
-        self, issue_ns: np.ndarray, admit: np.ndarray, latency: np.ndarray
-    ) -> None:
-        """Apply a planned run's admissions to the controller state.
-
-        The arrays must be a prefix of a :meth:`plan_batch` result for
-        the same issue times (the caller may have cut the run shorter
-        after planning).  Replays the admission bookkeeping (utilization
-        deque, next-free slot), applies stats in admission order with
-        the event path's exact chained-float arithmetic, and feeds the
-        sanitizer audit with arrivals and completions merged into
-        event-engine firing order.  Callers gate on ``_faults is None``:
-        the injected time-skew path stays scalar-only.
-        """
-        n = len(issue_ns)
-        if n == 0:
-            return
-        line_bytes = self.line_bytes
-        for a in admit.tolist():
-            self._note_admission(a, line_bytes)
-        # Same float value as the scalar chain: next_free is recomputed
-        # from the last admission exactly as request() would have.
-        self._next_free_ns = float(admit[-1]) + self.slot_ns
-        stats = self.stats
-        # Chained adds of an integer-valued float are exact well below
-        # 2**53, so one bulk add is bit-identical to n scalar adds.
-        stats.demand_read_bytes += n * line_bytes
-        stats.requests += n
-        # latency_sum accumulates `latency + (admit - issue)` per request
-        # in admission order; cumsum reproduces the chained adds.
-        acc = np.empty(n + 1, dtype=np.float64)
-        acc[0] = stats.latency_sum_ns
-        np.add(latency, admit - issue_ns, out=acc[1:])
-        stats.latency_sum_ns = float(np.cumsum(acc)[-1])
-        stats.latency_count += n
-        seq0 = self._req_seq
-        self._req_seq = seq0 + n
-
-        audit = self._audit
-        if audit is not None:
-            completion = admit + latency
-            order = np.argsort(completion, kind="stable")
-            times = np.concatenate([issue_ns, completion[order]])
-            seqs = np.concatenate(
-                [np.arange(seq0, seq0 + n), seq0 + order]
-            )
-            fire = np.argsort(times, kind="stable")
-            for idx in fire.tolist():
-                if idx < n:
-                    audit.memctrl_enter(
-                        float(times[idx]), int(seqs[idx]), "request_batch"
-                    )
-                else:
-                    audit.memctrl_exit(float(times[idx]), int(seqs[idx]))
 
     def writeback(self) -> None:
         """Consume bandwidth for a dirty-line writeback (fire and forget)."""

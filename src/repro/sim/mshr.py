@@ -16,9 +16,7 @@ until fill, so its time-average occupancy *is* the level's MLP
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional
 
 from ..errors import SimulationError
 from .stats import OccupancyTracker
@@ -59,7 +57,6 @@ class MshrFile:
         "merges",
         "_audit",
         "_faults",
-        "_staged",
     )
 
     def __init__(self, name: str, capacity: int) -> None:
@@ -81,9 +78,6 @@ class MshrFile:
 
         injector = get_injector()
         self._faults = injector if injector.armed("mshr_leak") else None
-        #: Allocations staged by :meth:`allocate_batch`, applied (merged
-        #: with their releases in event order) by :meth:`release_batch`.
-        self._staged: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -167,98 +161,3 @@ class MshrFile:
     def wait_for_free(self, callback: Callable[[], None]) -> None:
         """Register a retry callback for when any MSHR frees."""
         self._free_waiters.append(callback)
-
-    # -- vectorized batch surface (batch-stepping miss fast path) --------------
-
-    def allocate_batch(self, times_ns: np.ndarray, line_addrs: np.ndarray) -> None:
-        """Stage a run of allocations whose releases are already planned.
-
-        The occupancy accounting (tracker integral, full time, peak,
-        audit) is applied by the matching :meth:`release_batch` call,
-        which merges allocations and releases into event-engine firing
-        order — an allocation alone says nothing about how occupancy
-        integrates against the releases interleaved with it.  The caller
-        owns the batch preconditions: ``times_ns`` are the exact
-        event-path allocation instants in issue order (nondecreasing),
-        and the lines are unique and absent from the live entries.
-        """
-        if self._staged is not None:
-            raise SimulationError(
-                f"{self.name}: allocate_batch while a batch is already staged"
-            )
-        n = len(times_ns)
-        if n != len(line_addrs):
-            raise SimulationError(f"{self.name}: batch times/lines length mismatch")
-        if n:
-            if np.any(times_ns[1:] < times_ns[:-1]):
-                raise SimulationError(
-                    f"{self.name}: batch allocation times must be nondecreasing"
-                )
-            if len(np.unique(line_addrs)) != n:
-                raise SimulationError(
-                    f"{self.name}: duplicate line in batch allocation"
-                )
-            if self.entries:
-                for line in line_addrs.tolist():
-                    if line in self.entries:
-                        raise SimulationError(
-                            f"{self.name}: batch allocation collides with "
-                            f"live entry {line:#x}"
-                        )
-        self._staged = (times_ns, line_addrs)
-        self.allocations += n
-
-    def release_batch(self, times_ns: np.ndarray) -> None:
-        """Release the staged batch; applies the merged occupancy history.
-
-        ``times_ns[i]`` is the event-path release instant of the
-        ``i``-th staged allocation (strictly after it).  Allocations and
-        releases are merged by time — equal-time releases keep issue
-        order, matching the engine's sequence-number tie-break — and fed
-        to :meth:`OccupancyTracker.add_batch` plus the sanitizer audit
-        in that exact order, so integrals and audits are bit-identical
-        to the scalar event path.  An allocation/release time collision
-        is rejected: the engine's firing order there depends on
-        scheduling history the batch cannot reconstruct, so the caller
-        must cut the run before such a tie instead.
-        """
-        if self._staged is None:
-            raise SimulationError(f"{self.name}: release_batch with nothing staged")
-        alloc_times, lines = self._staged
-        self._staged = None
-        n = len(alloc_times)
-        if len(times_ns) != n:
-            raise SimulationError(f"{self.name}: batch release length mismatch")
-        if n == 0:
-            return
-        if np.any(times_ns <= alloc_times):
-            raise SimulationError(
-                f"{self.name}: batch release at or before its allocation"
-            )
-        if len(np.intersect1d(alloc_times, times_ns)):
-            raise SimulationError(
-                f"{self.name}: allocation/release time collision in batch"
-            )
-        if self._free_waiters:
-            raise SimulationError(
-                f"{self.name}: batch release with stalled waiters pending"
-            )
-        order = np.argsort(times_ns, kind="stable")
-        merged_t = np.concatenate([alloc_times, times_ns[order]])
-        merged_delta = np.empty(2 * n, dtype=np.int64)
-        merged_delta[:n] = 1
-        merged_delta[n:] = -1
-        merged_lines = np.concatenate([lines, lines[order]])
-        fire = np.argsort(merged_t, kind="stable")
-        self.tracker.add_batch(merged_t[fire], merged_delta[fire])
-        if self._audit is not None:
-            audit = self._audit
-            for t, delta, line in zip(
-                merged_t[fire].tolist(),
-                merged_delta[fire].tolist(),
-                merged_lines[fire].tolist(),
-            ):
-                if delta > 0:
-                    audit.enter(t, line, site="allocate_batch")
-                else:
-                    audit.exit(t, line)

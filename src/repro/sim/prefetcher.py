@@ -17,10 +17,8 @@ Models the behaviour the paper leans on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..errors import SimulationError
 
@@ -95,36 +93,9 @@ class StreamPrefetcher:
         """
         if not self.enabled:
             return []
-        return self._observe_one(
-            self._page_of(line_addr), line_addr // self.line_bytes
-        )
-
-    def observe_batch(self, line_addrs: np.ndarray) -> List[Tuple[int, List[int]]]:
-        """Feed a vector of demand line addresses in one call.
-
-        The per-access address arithmetic (page extraction, line
-        numbering) is vectorized; the stream-table transitions replay in
-        order so the final tracker state and every emitted candidate are
-        identical to sequential :meth:`observe` calls.  Returns
-        ``(batch_index, candidates)`` pairs for exactly the accesses
-        whose sequential call would return a non-empty candidate list,
-        in batch order.
-        """
-        if not self.enabled or not len(line_addrs):
-            return []
-        pages = (line_addrs >> 12).tolist()
-        line_nos = (line_addrs // self.line_bytes).tolist()
-        triggers: List[Tuple[int, List[int]]] = []
-        observe_one = self._observe_one
-        for i, (page, line_no) in enumerate(zip(pages, line_nos)):
-            candidates = observe_one(page, line_no)
-            if candidates:
-                triggers.append((i, candidates))
-        return triggers
-
-    def _observe_one(self, page: int, line_no: int) -> List[int]:
-        """Table transition for one observed demand line (enabled path)."""
         self._seq += 1
+        page = self._page_of(line_addr)
+        line_no = line_addr // self.line_bytes
         stream = self._streams.get(page)
 
         if stream is None:
@@ -170,78 +141,6 @@ class StreamPrefetcher:
         stream.next_prefetch_line = start + stream.direction * self.degree
         self.issued += len(candidates)
         return candidates
-
-    # -- snapshot/replay surface (batch-stepping miss fast path) ----------------
-
-    def snapshot(self) -> Tuple[Dict[int, Tuple[int, int, int, Optional[int], int]], int, int, int]:
-        """Copy of the full tracker state, for speculative replay.
-
-        The batched miss path replays :meth:`observe` over a planned run
-        of misses *before* committing the run; if any observation would
-        emit prefetch candidates, the run is cut there and the tracker
-        restored, so the emitting access trains the prefetcher through
-        the scalar path instead.
-        """
-        return (
-            {
-                page: (
-                    s.last_line,
-                    s.direction,
-                    s.confidence,
-                    s.next_prefetch_line,
-                    s.last_touch_seq,
-                )
-                for page, s in self._streams.items()
-            },
-            self._seq,
-            self.issued,
-            self.dropped_no_stream_slot,
-        )
-
-    def restore(
-        self,
-        snap: Tuple[Dict[int, Tuple[int, int, int, Optional[int], int]], int, int, int],
-    ) -> None:
-        """Reset the tracker to a :meth:`snapshot` copy."""
-        streams, seq, issued, dropped = snap
-        self._streams = {
-            page: _Stream(
-                last_line=last_line,
-                direction=direction,
-                confidence=confidence,
-                next_prefetch_line=next_line,
-                last_touch_seq=touch_seq,
-            )
-            for page, (
-                last_line,
-                direction,
-                confidence,
-                next_line,
-                touch_seq,
-            ) in streams.items()
-        }
-        self._seq = seq
-        self.issued = issued
-        self.dropped_no_stream_slot = dropped
-
-    def observe_replay(self, line_addrs: np.ndarray) -> Optional[int]:
-        """Replay observations in order; stop at the first emission.
-
-        Returns the index of the first element whose sequential
-        :meth:`observe` call would return candidates — the tracker is
-        then mid-mutated (the emitting transition already ran) and the
-        caller must :meth:`restore` and re-replay the shorter prefix.
-        Returns None when no element emits; the tracker is then exactly
-        the state sequential observes of the whole vector would leave.
-        """
-        if not self.enabled:
-            return None
-        observe_one = self._observe_one
-        line_bytes = self.line_bytes
-        for i, line_addr in enumerate(line_addrs.tolist()):
-            if observe_one(line_addr >> 12, line_addr // line_bytes):
-                return i
-        return None
 
     def _evict_stale(self) -> bool:
         """Evict the least-recently-touched stream; False if table empty."""

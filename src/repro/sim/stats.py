@@ -24,8 +24,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from ..units import ns
 from typing import Any, Dict, List
 
@@ -83,53 +81,6 @@ class OccupancyTracker:
                 f"{self.capacity}"
             )
         self.peak = max(self.peak, self.occupancy)
-
-    def add_batch(self, times_ns: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a time-sorted sequence of occupancy changes in one pass.
-
-        Element-for-element equivalent to sequential :meth:`add` calls:
-        the integral accumulates the same ``occupancy * dt`` terms
-        through the same left-to-right chained float adds (``np.cumsum``
-        performs sequential adds, unlike ``np.sum``'s pairwise tree), so
-        the resulting ``integral_ns`` / ``full_time_ns`` / ``peak`` /
-        ``occupancy`` are bit-identical to the scalar loop.  ``times_ns``
-        must be nondecreasing; callers interleaving allocations and
-        releases are responsible for merging them into event-engine
-        firing order first.
-        """
-        n = len(times_ns)
-        if n == 0:
-            return
-        dt = np.empty(n, dtype=np.float64)
-        dt[0] = times_ns[0] - self.last_update_ns
-        np.subtract(times_ns[1:], times_ns[:-1], out=dt[1:])
-        if dt.min() < 0:
-            raise ValueError(f"{self.name}: time went backwards in batch")
-        occ_after = self.occupancy + np.cumsum(deltas)
-        if occ_after.min() < 0:
-            raise ValueError(f"{self.name}: occupancy went negative")
-        if occ_after.max() > self.capacity:
-            raise ValueError(
-                f"{self.name}: occupancy {int(occ_after.max())} exceeds "
-                f"capacity {self.capacity}"
-            )
-        occ_before = np.empty(n, dtype=np.int64)
-        occ_before[0] = self.occupancy
-        occ_before[1:] = occ_after[:-1]
-        acc = np.empty(n + 1, dtype=np.float64)
-        acc[0] = self.integral_ns
-        np.multiply(occ_before, dt, out=acc[1:])
-        self.integral_ns = float(np.cumsum(acc)[-1])
-        full = occ_before >= self.capacity
-        if full.any():
-            full_dt = dt[full]
-            facc = np.empty(len(full_dt) + 1, dtype=np.float64)
-            facc[0] = self.full_time_ns
-            facc[1:] = full_dt
-            self.full_time_ns = float(np.cumsum(facc)[-1])
-        self.occupancy = int(occ_after[-1])
-        self.peak = max(self.peak, int(occ_after.max()))
-        self.last_update_ns = float(times_ns[-1])
 
     @property
     def is_full(self) -> bool:
@@ -237,15 +188,14 @@ class SimStats:
     #: observable, excluded from :meth:`fingerprint`; 0 on the pure
     #: event path).
     batch_accesses: int = 0
-    #: Of :attr:`batch_accesses`, accesses retired through runs that
-    #: contained misses (the vectorized MSHR/memory-controller fast
-    #: path).  Execution observable, excluded from :meth:`fingerprint`.
+    #: Always 0: the batched miss-run retirement path it counted was
+    #: removed.  Kept so serialized stats keep their shape for readers
+    #: such as ``perfbench/child.py``; excluded from :meth:`fingerprint`.
     batch_miss_accesses: int = 0
-    #: Reason -> count tally of why the batch fast path was disabled for
-    #: the run, or why candidate runs fell back to the event engine
-    #: (execution observable, excluded from :meth:`fingerprint`).  Empty
-    #: when batching never declined; makes zero-batched-fraction runs
-    #: diagnosable.
+    #: Reason -> count tally of why a requested batch fast path was
+    #: disabled for the run (the only reason is ``smt``).  Execution
+    #: observable, excluded from :meth:`fingerprint`; empty when
+    #: batching was not declined.
     batch_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Host wall-clock cost of the run in seconds (NOT a simulation
     #: observable: excluded from :meth:`fingerprint`).

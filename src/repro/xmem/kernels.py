@@ -155,66 +155,6 @@ def resident_trace(
     )
 
 
-def scatter_thread(
-    thread_id: int,
-    accesses_total: int,
-    line_bytes: int,
-    *,
-    footprint_lines: int = 1 << 22,
-    gap_cycles: float = 400.0,
-    seed: int = 11,
-) -> ColumnarThreadTrace:
-    """One thread of cold random loads with fill-drainable gaps.
-
-    Nearly every access misses to memory (the footprint dwarfs any
-    modeled cache) and the inserted delay exceeds the loaded memory
-    latency, so each miss's fill drains before the next access issues.
-    That is the regime the batched miss fast path retires closed-form
-    (docs/PERFORMANCE.md): runs hand off cleanly because no fill
-    outlives the next issue attempt.  Smaller gaps push the workload
-    into the overlapped-MLP regime, which deliberately falls back to
-    the event engine (``handoff`` fallback).
-    """
-    if accesses_total <= 0 or footprint_lines <= 0:
-        raise TraceError("accesses_total and footprint_lines must be positive")
-    rng = np.random.default_rng(seed + thread_id)
-    base = thread_id * (1 << 40)
-    addr = (
-        base + rng.integers(0, footprint_lines, accesses_total) * line_bytes
-    ).astype(ADDR_DTYPE)
-    kind = np.full(accesses_total, KIND_CODES[AccessKind.LOAD], dtype=KIND_DTYPE)
-    gap = np.full(accesses_total, gap_cycles, dtype=GAP_DTYPE)
-    return ColumnarThreadTrace(thread_id, addr, kind, gap)
-
-
-def scatter_trace(
-    *,
-    threads: int,
-    accesses_per_thread: int,
-    line_bytes: int,
-    footprint_lines: int = 1 << 22,
-    gap_cycles: float = 400.0,
-    routine: str = "cold_scatter",
-) -> ColumnarTrace:
-    """A cold random-load (miss-heavy, drainable-gap) workload."""
-    if threads <= 0:
-        raise TraceError("threads must be positive")
-    return ColumnarTrace(
-        threads=tuple(
-            scatter_thread(
-                t,
-                accesses_per_thread,
-                line_bytes,
-                footprint_lines=footprint_lines,
-                gap_cycles=gap_cycles,
-            )
-            for t in range(threads)
-        ),
-        routine=routine,
-        line_bytes=line_bytes,
-    )
-
-
 def throughput_trace(
     *,
     threads: int,

@@ -52,7 +52,10 @@ class XMemConfig:
     are scaled back to full-socket numbers so the resulting profile is
     directly usable with full-socket observed bandwidths.  ``batch``
     forwards to :attr:`repro.sim.hierarchy.SimConfig.batch` (the
-    batch-stepping fast path; results are bit-identical either way).
+    batch-stepping fast path).  The event engine (``batch=False``) is
+    the reference; the batch path is not bit-identical on every trace
+    (it diverges on the CoMD paper cells, see docs/PERFORMANCE.md), but
+    it never engages on the X-Mem sweep, so profiles match either way.
     """
 
     sim_cores: int = 2

@@ -88,3 +88,25 @@ def test_bench_registry_names(recorder):
 def test_record_rejects_unknown_bench(recorder):
     with pytest.raises(SystemExit, match="unknown bench"):
         recorder.record(["no_such_bench"])
+
+
+def test_sim_throughput_record_shape(recorder, monkeypatch, capsys):
+    """v4 records carry the all-hit ``batch`` block and no ``miss_batch``."""
+    monkeypatch.setattr(recorder, "_events_per_sec", lambda m: 1e5)
+    monkeypatch.setattr(recorder, "_gen_throughput", lambda: 1e6)
+    monkeypatch.setattr(recorder, "_warm_cache_speedup", lambda tmp: 50.0)
+    monkeypatch.setattr(recorder, "_git_sha", lambda: "0" * 40)
+    batch = {
+        "speedup": 6.0,
+        "batch_accesses_per_sec": 6e5,
+        "event_accesses_per_sec": 1e5,
+        "batched_fraction": 0.95,
+        "fingerprint_equal": True,
+    }
+    monkeypatch.setattr(recorder, "_batch_speedup", lambda: batch)
+    entry = recorder._record_sim_throughput()
+    assert entry["schema_version"] == recorder.SCHEMA_VERSION == 4
+    assert "miss_batch" not in entry
+    assert entry["batch"] == batch
+    recorder._summarize("sim_throughput", entry)
+    assert "batch fast path: 6.0x" in capsys.readouterr().out

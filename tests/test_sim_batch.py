@@ -10,8 +10,12 @@ pure event-engine run.  The property is exercised three ways:
   hardware-prefetch, and TLB settings;
 * the six paper workloads on all three modeled machines;
 * element-wise unit properties of the vectorized probe surfaces
-  (``probe_batch``/``touch_batch``/``observe_batch``) against their
-  scalar counterparts, including aliasing within a batch.
+  (``probe_batch``/``touch_batch``) against their scalar counterparts,
+  including aliasing within a batch.
+
+The contract does not hold everywhere yet: at 3000 accesses/thread the
+``comd`` cells on KNL and A64FX diverge, which the strict ``xfail``
+cases below pin until the event engine becomes the only reference.
 """
 
 import random
@@ -24,7 +28,6 @@ from hypothesis import strategies as st
 from repro.machines import get_machine
 from repro.sim import SimConfig, run_trace
 from repro.sim.cache import CacheArray
-from repro.sim.prefetcher import StreamPrefetcher
 from repro.sim.tlb import Tlb
 from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
 from repro.workloads import get_workload
@@ -138,6 +141,23 @@ class TestFingerprintEquivalence:
         event, batch = _fingerprints(trace, machine=m, sim_cores=2)
         assert event.fingerprint() == batch.fingerprint()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known divergence: the all-hit batch path's L1/L2 MSHR "
+        "occupancy integral (integral_ns) differs from the event engine's "
+        "on comd/knl and comd/a64fx at 3000 accesses/thread",
+    )
+    @pytest.mark.parametrize("machine", ["knl", "a64fx"])
+    def test_comd_divergence_at_simulate_defaults(self, machine):
+        m = get_machine(machine)
+        trace = get_workload("comd").generate_trace(
+            m, spec=TraceSpec(threads=2, accesses_per_thread=3000)
+        )
+        event, batch = _fingerprints(
+            trace, machine=m, sim_cores=2, window_per_core=14
+        )
+        assert event.fingerprint() == batch.fingerprint()
+
     def test_batch_path_engages_on_hot_loop(self):
         m = get_machine("skl")
         trace = _mixed_trace(3, 4000, miss_rate=0.0, store_rate=0.1)
@@ -158,6 +178,37 @@ class TestFingerprintEquivalence:
         assert "batch_accesses" in doc
         fp = stats.fingerprint()
         stats.batch_accesses = 0
+        assert stats.fingerprint() == fp
+
+    def test_smt_fallback_reason_recorded(self):
+        """The inert-under-SMT case is diagnosable, not silent."""
+        m = get_machine("knl")  # 4-way SMT
+        trace = _mixed_trace(5, 600, threads=2, miss_rate=0.02)
+        stats = run_trace(
+            trace,
+            SimConfig(
+                machine=m,
+                sim_cores=1,
+                threads_per_core=2,
+                window_per_core=12,
+                batch=True,
+            ),
+        )
+        assert stats.batch_accesses == 0
+        assert stats.batch_fallbacks == {"smt": 1}
+
+    def test_fallback_counters_are_not_semantic(self):
+        m = get_machine("skl")
+        trace = _mixed_trace(6, 600, miss_rate=0.02)
+        stats = run_trace(
+            trace, SimConfig(machine=m, sim_cores=2, window_per_core=12, batch=True)
+        )
+        doc = stats.to_dict()
+        assert "batch_fallbacks" in doc and "batch_miss_accesses" in doc
+        assert stats.batch_miss_accesses == 0
+        fp = stats.fingerprint()
+        stats.batch_miss_accesses = 7
+        stats.batch_fallbacks = {"synthetic": 3}
         assert stats.fingerprint() == fp
 
 
@@ -283,22 +334,3 @@ class TestTlbProbeSurface:
             assert scalar_tlb.access(int(addr))
         assert batch_tlb._pages == scalar_tlb._pages
         assert batch_tlb.stats.hits == scalar_tlb.stats.hits
-
-
-class TestPrefetcherBatchObserve:
-    """observe_batch replays the same table updates as sequential observe."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 200))
-    def test_observe_batch_matches_sequential(self, seed, n):
-        rng = np.random.default_rng(seed)
-        batch_pf = StreamPrefetcher(64, degree=2, distance=4)
-        scalar_pf = StreamPrefetcher(64, degree=2, distance=4)
-        base = rng.integers(0, 1 << 20) * 64
-        steps = rng.integers(-2, 3, n).astype(np.int64)
-        lines = (base + np.maximum(np.cumsum(steps), 0) * 64).astype(np.uint64)
-        batched = dict(batch_pf.observe_batch(lines))
-        for i, line in enumerate(lines.tolist()):
-            candidates = scalar_pf.observe(int(line))
-            assert batched.get(i, []) == candidates
-        assert batch_pf._streams.keys() == scalar_pf._streams.keys()
