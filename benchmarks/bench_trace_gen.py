@@ -7,20 +7,25 @@ canonical-JSON digest) by at least 5x end to end.  The legacy path is
 reproduced inline below, byte-for-byte equivalent in *shape* to the
 pre-columnar code (same statistical structure, same per-access JSON
 canonical form), so the comparison stays honest as the live code
-evolves.
+evolves.  That includes the two frozen-dataclass containers the legacy
+path built per thread and per trace (``_LegacyThreadTrace`` /
+``_LegacyTrace``), with their construction-time validation and counts.
 """
 
 import hashlib
 import json
 import random
 import time
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from conftest import pedantic_once
 
 from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+from repro.errors import TraceError
+from repro.sim.trace import Access, AccessKind
 from repro.workloads.generators import random_updates, spawn_thread_generator
 
 THREADS = 4
@@ -30,6 +35,47 @@ SPEEDUP_FLOOR = 5.0
 
 
 # -- legacy baseline (the pre-columnar implementation, kept inline) -------------
+
+
+@dataclass(frozen=True)
+class _LegacyThreadTrace:
+    """The old object container: a tuple of ``Access`` per thread."""
+
+    thread_id: int
+    accesses: Tuple[Access, ...]
+
+    def __post_init__(self):
+        if self.thread_id < 0:
+            raise TraceError("thread_id must be >= 0")
+        object.__setattr__(
+            self,
+            "_demand_count",
+            sum(1 for a in self.accesses if a.kind.is_demand),
+        )
+
+
+@dataclass(frozen=True)
+class _LegacyTrace:
+    """The old multi-threaded container, with its validation and totals."""
+
+    threads: Tuple[_LegacyThreadTrace, ...]
+    routine: str = "kernel"
+    line_bytes: int = 64
+
+    def __post_init__(self):
+        if not self.threads:
+            raise TraceError("trace must contain at least one thread")
+        ids = [t.thread_id for t in self.threads]
+        if len(set(ids)) != len(ids):
+            raise TraceError("duplicate thread ids in trace")
+        if self.line_bytes <= 0:
+            raise TraceError("line_bytes must be positive")
+        object.__setattr__(
+            self, "_total_accesses", sum(len(t.accesses) for t in self.threads)
+        )
+        object.__setattr__(
+            self, "_total_demand", sum(t._demand_count for t in self.threads)
+        )
 
 
 def _legacy_random_updates(count, line_bytes, rng, *, gap_cycles=2.0,
@@ -65,9 +111,11 @@ def _legacy_generate_and_digest(seed=12345):
     for t in range(THREADS):
         child = random.Random(rng.randrange(2**31))
         threads.append(
-            ThreadTrace(t, tuple(_legacy_random_updates(ACCESSES, LINE, child)))
+            _LegacyThreadTrace(
+                t, tuple(_legacy_random_updates(ACCESSES, LINE, child))
+            )
         )
-    trace = Trace(tuple(threads), routine="bench", line_bytes=LINE)
+    trace = _LegacyTrace(tuple(threads), routine="bench", line_bytes=LINE)
     return _legacy_digest(trace)
 
 

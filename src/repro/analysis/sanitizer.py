@@ -59,6 +59,7 @@ from ..errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.cache import CacheArray
+    from ..sim.coltrace import ColumnarTrace
     from ..sim.hierarchy import Hierarchy
     from ..sim.tlb import Tlb
 
@@ -579,9 +580,9 @@ class RunSanitizer:
 
     # -- finalize ---------------------------------------------------------------
 
-    def begin_run(self, trace: Any) -> None:
+    def begin_run(self, trace: ColumnarTrace) -> None:
         """Record trace-derived expectations before the engine starts."""
-        self.expected_accesses = sum(len(t) for t in trace.threads)
+        self.expected_accesses = trace.total_accesses
 
     def finalize(self, stats: Any, end_ns: float) -> SanitizerReport:
         """Run every end-of-run check; raise on any violation."""

@@ -31,6 +31,7 @@ export/import round trip.
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
@@ -38,13 +39,7 @@ from typing import Any, Dict, Tuple, Union
 import numpy as np
 
 from ..errors import TraceError
-from ..sim.coltrace import (
-    AnyTrace,
-    ColumnarThreadTrace,
-    ColumnarTrace,
-    as_columnar,
-    trace_digest,
-)
+from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
 
 #: Format tag stored in the meta member.
 TRACE_FILE_FORMAT = "repro-trace-npz"
@@ -55,6 +50,18 @@ TRACE_FILE_VERSION = 1
 #: Size of a zip local file header before the variable-length fields.
 _ZIP_LOCAL_HEADER_BYTES = 30
 
+#: What zipfile and numpy's npy-header parser raise on a truncated or
+#: damaged archive; load_trace reports each as a TraceError.
+_UNREADABLE = (
+    OSError,
+    ValueError,
+    EOFError,
+    SyntaxError,
+    NotImplementedError,
+    tokenize.TokenError,
+    zipfile.BadZipFile,
+)
+
 
 def _member_names(index: int) -> Tuple[str, str, str]:
     return (f"t{index}_addr", f"t{index}_kind", f"t{index}_gap")
@@ -62,15 +69,14 @@ def _member_names(index: int) -> Tuple[str, str, str]:
 
 def save_trace(
     path: Union[str, Path],
-    trace: AnyTrace,
+    trace: ColumnarTrace,
     *,
     compress: bool = False,
 ) -> Dict[str, Any]:
     """Write ``trace`` to ``path`` as a trace file; returns its metadata.
 
     ``compress`` trades the mmap fast path on load for a smaller file
-    (loads still work — through the ``np.load`` fallback).  Either
-    representation can be saved; the file always stores columnar form.
+    (loads still work — through the ``np.load`` fallback).
 
     The write is atomic (temp file + rename via
     :func:`repro.io.atomic.atomic_writer`): a crash mid-save leaves the
@@ -81,22 +87,21 @@ def save_trace(
     """
     from .atomic import atomic_writer
 
-    col = as_columnar(trace)
     path = Path(path)
     meta = {
         "format": TRACE_FILE_FORMAT,
         "version": TRACE_FILE_VERSION,
-        "routine": col.routine,
-        "line_bytes": col.line_bytes,
-        "thread_ids": [t.thread_id for t in col.threads],
-        "sha256": trace_digest(col),
+        "routine": trace.routine,
+        "line_bytes": trace.line_bytes,
+        "thread_ids": [t.thread_id for t in trace.threads],
+        "sha256": trace_digest(trace),
     }
     members: Dict[str, np.ndarray] = {
         "meta": np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
     }
-    for i, thread in enumerate(col.threads):
+    for i, thread in enumerate(trace.threads):
         addr_name, kind_name, gap_name = _member_names(i)
         members[addr_name] = thread.addr
         members[kind_name] = thread.kind
@@ -179,7 +184,7 @@ def load_trace(
     if mmap:
         try:
             members = _mmap_members(path)
-        except (TraceError, OSError, ValueError, zipfile.BadZipFile):
+        except (TraceError, *_UNREADABLE):
             members = {}
     else:
         members = {}
@@ -187,7 +192,7 @@ def load_trace(
         try:
             with np.load(path) as archive:
                 members = {name: archive[name] for name in archive.files}
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        except _UNREADABLE as exc:
             raise TraceError(f"cannot read trace file {path}: {exc}") from None
 
     if "meta" not in members:
@@ -196,6 +201,8 @@ def load_trace(
         meta = json.loads(bytes(members["meta"]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceError(f"corrupt trace-file metadata in {path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise TraceError(f"{path}: trace-file metadata is not a JSON object")
     if meta.get("format") != TRACE_FILE_FORMAT:
         raise TraceError(f"{path}: unknown trace-file format {meta.get('format')!r}")
     if meta.get("version") != TRACE_FILE_VERSION:
@@ -203,19 +210,25 @@ def load_trace(
             f"{path}: trace-file version {meta.get('version')!r} "
             f"(this build reads {TRACE_FILE_VERSION})"
         )
+    try:
+        thread_ids = [int(t) for t in meta["thread_ids"]]
+        routine = str(meta["routine"])
+        line_bytes = int(meta["line_bytes"])
+    except KeyError as exc:
+        raise TraceError(f"{path}: trace-file metadata lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(f"{path}: malformed trace-file metadata: {exc}") from None
 
     threads = []
-    for i, thread_id in enumerate(meta["thread_ids"]):
+    for i, thread_id in enumerate(thread_ids):
         addr_name, kind_name, gap_name = _member_names(i)
         try:
             addr, kind, gap = members[addr_name], members[kind_name], members[gap_name]
         except KeyError as exc:
             raise TraceError(f"{path}: missing member {exc}") from None
-        threads.append(ColumnarThreadTrace(int(thread_id), addr, kind, gap))
+        threads.append(ColumnarThreadTrace(thread_id, addr, kind, gap))
     trace = ColumnarTrace(
-        threads=tuple(threads),
-        routine=str(meta["routine"]),
-        line_bytes=int(meta["line_bytes"]),
+        threads=tuple(threads), routine=routine, line_bytes=line_bytes
     )
     if verify:
         actual = trace_digest(trace)

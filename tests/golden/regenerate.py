@@ -3,9 +3,12 @@
 The goldens pin :meth:`~repro.sim.stats.SimStats.fingerprint` for the 18
 paper cells (6 workloads x 3 machines) at the ``repro simulate``
 defaults, plus the pure event-engine fingerprints of the two CoMD cells
-on which the all-hit batch path is known to diverge.  A golden changes
-only when the simulated physics does, so regeneration demands a stated
-reason, which belongs in the change log next to the new numbers::
+on which the all-hit batch path is known to diverge, plus the
+:func:`~repro.sim.coltrace.trace_digest` of each executable mini-app's
+extracted trace on ``skl`` at the app defaults.  A golden changes only
+when the simulated physics (or a trace's content) does, so regeneration
+demands a stated reason, which belongs in the change log next to the
+new numbers::
 
     PYTHONPATH=src python tests/golden/regenerate.py --reason "<why>"
 """
@@ -32,6 +35,10 @@ WINDOW = 14
 #: Cells whose event-engine (``batch=False``) fingerprint is pinned too.
 EVENT_ENGINE_CELLS = ("comd/knl", "comd/a64fx")
 
+#: Executable mini-apps (``repro.apps``) whose extracted trace is pinned.
+APPS = ("comd", "dgemm", "hpcg", "isx", "minighost", "pennant", "snap")
+APP_TRACE_MACHINE = "skl"
+
 
 def cell_fingerprint(cell: str, *, batch: bool = True) -> str:
     """Fingerprint of one ``workload/machine`` cell at the simulate defaults."""
@@ -52,6 +59,17 @@ def cell_fingerprint(cell: str, *, batch: bool = True) -> str:
     return run_trace(trace, config).fingerprint()
 
 
+def app_trace_digest(app: str) -> str:
+    """Content digest of one mini-app's extracted trace at its defaults."""
+    from repro import apps
+    from repro.machines import get_machine
+    from repro.sim.coltrace import trace_digest
+
+    app_class = getattr(apps, app.capitalize() + "App")
+    trace = app_class().extract_trace(get_machine(APP_TRACE_MACHINE))
+    return trace_digest(trace)
+
+
 def compute_goldens() -> Dict[str, Dict[str, str]]:
     """Every pinned fingerprint, keyed by section then ``workload/machine``."""
     cells = [f"{w}/{m}" for w in WORKLOADS for m in MACHINES]
@@ -60,6 +78,7 @@ def compute_goldens() -> Dict[str, Dict[str, str]]:
         "event_engine": {
             cell: cell_fingerprint(cell, batch=False) for cell in EVENT_ENGINE_CELLS
         },
+        "app_traces": {app: app_trace_digest(app) for app in APPS},
     }
 
 

@@ -2,9 +2,10 @@
 
 Equivalence tests only prove two code paths agree with each other; these
 pin what the simulator produces, so a change that moves both paths the
-same way still fails.  Regenerate with ``tests/golden/regenerate.py``
-(which demands a reason) only when the simulated physics is meant to
-change.
+same way still fails.  The ``app_traces`` section pins the content of
+every executable mini-app's extracted trace the same way.  Regenerate
+with ``tests/golden/regenerate.py`` (which demands a reason) only when
+the simulated physics, or a trace's content, is meant to change.
 """
 
 import importlib.util
@@ -41,6 +42,11 @@ def test_event_engine_fingerprint(cell):
     assert regenerate.cell_fingerprint(cell, batch=False) == expected
 
 
+@pytest.mark.parametrize("app", sorted(GOLDENS["app_traces"]))
+def test_app_trace_digest(app):
+    assert regenerate.app_trace_digest(app) == GOLDENS["app_traces"][app]
+
+
 def test_goldens_cover_the_paper_matrix():
     assert GOLDENS["config"] == {
         "threads": regenerate.THREADS,
@@ -52,6 +58,7 @@ def test_goldens_cover_the_paper_matrix():
     }
     assert set(GOLDENS["simulate_defaults"]) == cells
     assert set(GOLDENS["event_engine"]) == set(regenerate.EVENT_ENGINE_CELLS)
+    assert set(GOLDENS["app_traces"]) == set(regenerate.APPS)
 
 
 def test_regenerate_requires_reason(capsys):

@@ -302,22 +302,11 @@ class TestCacheKeyChecks:
         assert result.errors == []
 
     def test_columnar_trace_fields_all_reach_digest(self):
-        from repro.sim.coltrace import ColumnarTrace, trace_digest
-        from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+        from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
 
-        trace = ColumnarTrace.from_trace(
-            Trace(
-                (
-                    ThreadTrace(
-                        0,
-                        (
-                            Access(0, AccessKind.LOAD, 1.0),
-                            Access(64, AccessKind.STORE, 2.0),
-                        ),
-                    ),
-                ),
-                routine="audit",
-            )
+        # One load then one store (kind codes 0, 1).
+        trace = ColumnarTrace(
+            (ColumnarThreadTrace(0, [0, 64], [0, 1], [1.0, 2.0]),), routine="audit"
         )
         found = list(
             check_digest_sensitivity(
@@ -329,14 +318,10 @@ class TestCacheKeyChecks:
     def test_columnar_digest_blind_spot_flagged(self):
         import dataclasses as dc
 
-        from repro.sim.coltrace import ColumnarTrace, trace_digest
-        from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+        from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
 
-        trace = ColumnarTrace.from_trace(
-            Trace(
-                (ThreadTrace(0, (Access(0, AccessKind.LOAD, 1.0),)),),
-                routine="audit",
-            )
+        trace = ColumnarTrace(
+            (ColumnarThreadTrace(0, [0], [0], [1.0]),), routine="audit"
         )
 
         def blind_to_line_bytes(t):

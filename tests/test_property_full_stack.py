@@ -15,22 +15,24 @@ from hypothesis import strategies as st
 
 from repro.machines import get_machine
 from repro.sim import (
-    Access,
     AccessKind,
+    ColumnarThreadTrace,
+    ColumnarTrace,
     SimConfig,
-    ThreadTrace,
-    Trace,
     run_trace,
 )
+from repro.sim.coltrace import KIND_CODES
 
 SKL = get_machine("skl")
 
 
-def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> Trace:
+def _mixed_trace(
+    seed: int, n: int, threads: int, swpf_share: float
+) -> ColumnarTrace:
     rng = random.Random(seed)
     thread_traces = []
     for t in range(threads):
-        accesses = []
+        rows = []
         stream_base = (t + 1) << 28
         stream_off = 0
         for i in range(n):
@@ -38,16 +40,18 @@ def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> Trace:
             if roll < swpf_share:
                 kind = AccessKind.SWPF_L2 if rng.random() < 0.5 else AccessKind.SWPF_L1
                 addr = rng.randrange(1 << 22) * 64
-                accesses.append(Access(addr, kind, 1.0))
+                rows.append((addr, kind, 1.0))
             elif roll < 0.55:
                 addr = rng.randrange(1 << 22) * 64
                 kind = AccessKind.STORE if rng.random() < 0.3 else AccessKind.LOAD
-                accesses.append(Access(addr, kind, rng.choice([1.0, 2.0, 8.0])))
+                rows.append((addr, kind, rng.choice([1.0, 2.0, 8.0])))
             else:
-                accesses.append(Access(stream_base + stream_off, AccessKind.LOAD, 2.0))
+                rows.append((stream_base + stream_off, AccessKind.LOAD, 2.0))
                 stream_off += 8
-        thread_traces.append(ThreadTrace(t, tuple(accesses)))
-    return Trace(tuple(thread_traces), routine="stress", line_bytes=64)
+        addrs, kinds, gaps = zip(*rows)
+        codes = [KIND_CODES[k] for k in kinds]
+        thread_traces.append(ColumnarThreadTrace(t, addrs, codes, gaps))
+    return ColumnarTrace(tuple(thread_traces), routine="stress", line_bytes=64)
 
 
 @settings(max_examples=12, deadline=None)

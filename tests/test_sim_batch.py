@@ -26,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines import get_machine
-from repro.sim import SimConfig, run_trace
+from repro.sim import ColumnarThreadTrace, ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
+from repro.sim.coltrace import KIND_CODES
 from repro.sim.tlb import Tlb
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+from repro.sim.trace import AccessKind
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec
 
@@ -46,13 +47,15 @@ def _mixed_trace(
     miss_rate: float = 0.05,
     store_rate: float = 0.2,
     prefetch_rate: float = 0.0,
-) -> Trace:
+) -> ColumnarTrace:
     """Hot-footprint trace with tunable cold misses, stores, prefetches."""
     rng = random.Random(seed)
-    kinds = [AccessKind.LOAD, AccessKind.STORE, AccessKind.SWPF_L2]
+    kinds = [
+        KIND_CODES[k] for k in (AccessKind.LOAD, AccessKind.STORE, AccessKind.SWPF_L2)
+    ]
     thread_traces = []
     for t in range(threads):
-        accesses = []
+        addrs, codes, gaps = [], [], []
         for _ in range(n):
             if rng.random() < miss_rate:
                 addr = rng.randrange(1 << 22) * line_bytes
@@ -66,9 +69,11 @@ def _mixed_trace(
                 kind = kinds[1]
             else:
                 kind = kinds[0]
-            accesses.append(Access(addr, kind, float(rng.randrange(0, 14))))
-        thread_traces.append(ThreadTrace(thread_id=t, accesses=tuple(accesses)))
-    return Trace(
+            addrs.append(addr)
+            codes.append(kind)
+            gaps.append(float(rng.randrange(0, 14)))
+        thread_traces.append(ColumnarThreadTrace(t, addrs, codes, gaps))
+    return ColumnarTrace(
         threads=tuple(thread_traces), routine="batch-prop", line_bytes=line_bytes
     )
 

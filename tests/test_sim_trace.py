@@ -1,10 +1,19 @@
-"""Trace records and builders."""
+"""Trace records, trace validation and builders."""
 
 import pytest
 
 from repro.errors import TraceError
-from repro.sim import Access, AccessKind, ThreadTrace, Trace, trace_from_addresses
-from repro.sim.trace import interleave_kinds
+from repro.sim import (
+    Access,
+    AccessKind,
+    ColumnarThreadTrace,
+    ColumnarTrace,
+    trace_from_addresses,
+)
+
+
+def _one_load_thread(thread_id=0):
+    return ColumnarThreadTrace(thread_id, [0], [0], [0.0])
 
 
 class TestAccessKind:
@@ -27,20 +36,19 @@ class TestAccess:
 
 class TestThreadTrace:
     def test_demand_count_excludes_prefetch(self):
-        trace = ThreadTrace(
-            0,
-            (
-                Access(0, AccessKind.LOAD),
-                Access(64, AccessKind.SWPF_L2),
-                Access(128, AccessKind.STORE),
-            ),
-        )
+        # Kind codes: 0 load, 3 L2 software prefetch, 1 store.
+        trace = ColumnarThreadTrace(0, [0, 64, 128], [0, 3, 1], [0.0, 0.0, 0.0])
         assert len(trace) == 3
         assert trace.demand_count == 2
+        assert [a.kind for a in trace.accesses] == [
+            AccessKind.LOAD,
+            AccessKind.SWPF_L2,
+            AccessKind.STORE,
+        ]
 
     def test_rejects_negative_thread_id(self):
         with pytest.raises(TraceError):
-            ThreadTrace(-1, ())
+            ColumnarThreadTrace(-1, [], [], [])
 
 
 class TestTrace:
@@ -52,17 +60,16 @@ class TestTrace:
 
     def test_rejects_empty(self):
         with pytest.raises(TraceError):
-            Trace(threads=())
+            ColumnarTrace(threads=())
 
     def test_rejects_duplicate_thread_ids(self):
-        t = ThreadTrace(0, (Access(0),))
+        t = _one_load_thread()
         with pytest.raises(TraceError):
-            Trace(threads=(t, t))
+            ColumnarTrace(threads=(t, t))
 
     def test_rejects_bad_line_bytes(self):
-        t = ThreadTrace(0, (Access(0),))
         with pytest.raises(TraceError):
-            Trace(threads=(t,), line_bytes=0)
+            ColumnarTrace(threads=(_one_load_thread(),), line_bytes=0)
 
 
 class TestBuilders:
@@ -70,21 +77,7 @@ class TestBuilders:
         trace = trace_from_addresses(
             [[0, 64]], kind=AccessKind.STORE, gap_cycles=3.0
         )
-        acc = trace.threads[0].accesses[0]
-        assert acc.kind == AccessKind.STORE
-        assert acc.gap_cycles == 3.0
-
-    def test_interleave_kinds_cycles_pattern(self):
-        out = interleave_kinds(
-            [0, 64, 128, 192], [AccessKind.LOAD, AccessKind.STORE]
+        assert trace.threads[0].accesses == (
+            Access(0, AccessKind.STORE, 3.0),
+            Access(64, AccessKind.STORE, 3.0),
         )
-        assert [a.kind for a in out] == [
-            AccessKind.LOAD,
-            AccessKind.STORE,
-            AccessKind.LOAD,
-            AccessKind.STORE,
-        ]
-
-    def test_interleave_rejects_empty_pattern(self):
-        with pytest.raises(TraceError):
-            interleave_kinds([0], [])
