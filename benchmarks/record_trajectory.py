@@ -157,7 +157,7 @@ def _analytic_speedup() -> dict:
     import tempfile
 
     per_machine = {}
-    config = XMemConfig(levels=6, accesses_per_thread=1500, batch=False)
+    config = XMemConfig(levels=6, accesses_per_thread=1500)
     with tempfile.TemporaryDirectory() as tmp:
         cache = SimCache(Path(tmp), enabled=True)
         for machine in paper_machines():

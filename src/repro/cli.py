@@ -27,7 +27,11 @@ Commands mirror the paper's workflow:
 
 ``characterize`` and ``analyze`` accept ``--fast`` to answer from the
 calibrated closed form instead of simulating; the global ``-v`` prints
-solver diagnostics (iterations, final residual).
+solver diagnostics (iterations, final residual).  Each command accepts
+only the run flags it honours: the fan-out flags (``--jobs``,
+``--retries``, ``--timeout-s``) where independent tasks fan out, the
+simulation flags (``--no-cache``, ``--sanitize``) where the simulator
+runs, and ``--batch`` on ``simulate`` alone.
 """
 
 from __future__ import annotations
@@ -38,33 +42,31 @@ from typing import List, Optional
 
 from .core.analyzer import RoutineAnalyzer
 from .core.classify import AccessPattern, Classification
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .machines.registry import get_machine, machine_names, paper_machines
+from .resilience.checkpoint import SweepCheckpoint
 from .units import ns_to_us, to_gb_per_s
 from .xmem.runner import XMemConfig, characterize_machine
 
+#: The paper workloads (``repro.workloads``), spelled out so the parser
+#: does not import the workload package at start-up.
+WORKLOAD_NAMES = ("isx", "hpcg", "pennant", "comd", "minighost", "snap")
 
-def _apply_perf_flags(args: argparse.Namespace) -> None:
-    """Honor ``--no-cache``/``--retries``/``--timeout-s`` before any runs.
 
-    Retry/timeout settings are mirrored into ``REPRO_RETRIES``/
-    ``REPRO_TIMEOUT_S`` so every :func:`repro.perf.parallel.fan_out`
-    in the command — and its worker processes — picks them up.
+def _apply_sim_flags(args: argparse.Namespace) -> None:
+    """Honor ``--no-cache``/``--sanitize`` before any simulation runs.
+
+    Both are mirrored into the environment (``REPRO_CACHE``/
+    ``REPRO_SANITIZE``) so :func:`repro.perf.parallel.fan_out` workers
+    inherit them; the fan-out flags are passed explicitly instead.
     """
-    import os
-
     if getattr(args, "no_cache", False):
         from .perf.cache import configure_cache
 
         configure_cache(enabled=False)
-    if getattr(args, "retries", None) is not None:
-        os.environ["REPRO_RETRIES"] = str(args.retries)
-    if getattr(args, "timeout_s", None) is not None:
-        os.environ["REPRO_TIMEOUT_S"] = str(args.timeout_s)
     if getattr(args, "sanitize", False):
         from .analysis.sanitizer import configure_sanitize
 
-        # Mirrored into REPRO_SANITIZE so fan_out workers inherit it.
         configure_sanitize(True)
 
 
@@ -82,26 +84,6 @@ def _print_sanitizer_summary() -> None:
     print(
         f"sanitizer: {'ok' if report.ok else 'VIOLATIONS'} — "
         f"{report.events_checked} events checked, queues audited: {queues}"
-    )
-
-
-def _print_batch_notice(args: argparse.Namespace, stats: "object") -> None:
-    """One-line ``-v`` diagnosis when the batch fast path fell back.
-
-    A zero-batched-fraction run is otherwise silent, so surface *why*:
-    the per-reason counts from
-    :attr:`~repro.sim.stats.SimStats.batch_fallbacks` (``smt`` = batch
-    disabled wholesale because SMT threads share a core's L1/TLB).
-    """
-    if not getattr(args, "verbose", False):
-        return
-    fallbacks = getattr(stats, "batch_fallbacks", None)
-    if not fallbacks:
-        return
-    reasons = ", ".join(f"{r}={n}" for r, n in sorted(fallbacks.items()))
-    print(
-        f"  batch fast path fell back: {reasons} "
-        "(reason table: docs/PERFORMANCE.md)"
     )
 
 
@@ -138,81 +120,75 @@ def _cmd_machines(_: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     import time
 
-    _apply_perf_flags(args)
+    from .analysis.sanitizer import sanitize_enabled
+
     machine = get_machine(args.machine)
-    if getattr(args, "fast", False):
-        from .analysis.sanitizer import sanitize_enabled
-
-        if sanitize_enabled():
-            # Stated-reason fallback: the whole point of sanitize mode
-            # is to execute the instrumented simulator.
-            print(
-                "--fast declined: sanitize mode must execute the "
-                "instrumented simulator; running the full sweep"
-            )
-        else:
-            from .perfmodel.queueing import analytic_profile, calibrate_from_probes
-
-            start = time.perf_counter()
-            params = calibrate_from_probes(machine)
-            profile = analytic_profile(machine, params, levels=args.levels)
-            wall = time.perf_counter() - start
-            print(
-                f"latency profile for {machine.name} "
-                f"({len(profile.points)} samples, source={profile.source})"
-            )
-            for point in profile.points:
-                print(
-                    f"  {point.bandwidth_gbs:8.1f} GB/s -> "
-                    f"{point.latency_ns:6.1f} ns"
-                )
-            print(
-                f"analytic fast path: {params.probes} cached probe run(s), "
-                f"L0={params.unloaded_latency_ns:.1f} ns, "
-                f"A={params.contention_ns:.1f} ns; {wall:.3f}s wall"
-            )
-            _print_cache_summary()
-            if args.out:
-                profile.save(args.out)
-                print(f"saved to {args.out}")
-            return 0
-    config = XMemConfig(levels=args.levels, batch=args.batch)
-    checkpoint = None
-    if args.checkpoint:
-        from .resilience.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(
-            args.checkpoint, label=f"xmem:{machine.name}"
+    fast = args.fast
+    if fast and sanitize_enabled():
+        # Stated-reason fallback: the whole point of sanitize mode is to
+        # execute the instrumented simulator.
+        print(
+            "--fast declined: sanitize mode must execute the "
+            "instrumented simulator; running the full sweep"
         )
-        if args.resume:
-            if checkpoint.exists:
-                print(
-                    f"resuming from checkpoint {args.checkpoint} "
-                    f"({len(checkpoint.load())} level(s) already done)"
-                )
-        elif checkpoint.exists:
-            checkpoint.clear()
-            print(f"cleared stale checkpoint {args.checkpoint} (no --resume)")
-    elif args.resume:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    profile = characterize_machine(
-        machine, config, jobs=args.jobs, checkpoint=checkpoint
-    )
-    wall = time.perf_counter() - start
+        fast = False
+    if fast:
+        from .perfmodel.queueing import analytic_profile, calibrate_from_probes
+
+        start = time.perf_counter()
+        params = calibrate_from_probes(machine)
+        profile = analytic_profile(machine, params, levels=args.levels)
+        footer = (
+            f"analytic fast path: {params.probes} cached probe run(s), "
+            f"L0={params.unloaded_latency_ns:.1f} ns, "
+            f"A={params.contention_ns:.1f} ns; "
+            f"{time.perf_counter() - start:.3f}s wall"
+        )
+    else:
+        checkpoint = _sweep_checkpoint(args, machine.name)
+        start = time.perf_counter()
+        profile = characterize_machine(
+            machine,
+            XMemConfig(levels=args.levels),
+            jobs=args.jobs,
+            retries=args.retries,
+            timeout_s=args.timeout_s,
+            checkpoint=checkpoint,
+        )
+        footer = f"characterized in {time.perf_counter() - start:.2f}s wall"
     print(
         f"latency profile for {machine.name} "
         f"({len(profile.points)} samples, source={profile.source})"
     )
     for point in profile.points:
         print(f"  {point.bandwidth_gbs:8.1f} GB/s -> {point.latency_ns:6.1f} ns")
-    print(f"characterized in {wall:.2f}s wall")
+    print(footer)
     _print_cache_summary()
     if args.out:
         profile.save(args.out)
         print(f"saved to {args.out}")
     return 0
+
+
+def _sweep_checkpoint(
+    args: argparse.Namespace, machine_name: str
+) -> Optional[SweepCheckpoint]:
+    """The ``--checkpoint``/``--resume`` store for one X-Mem sweep."""
+    if not args.checkpoint:
+        if args.resume:
+            raise ConfigurationError("--resume requires --checkpoint")
+        return None
+    checkpoint = SweepCheckpoint(args.checkpoint, label=f"xmem:{machine_name}")
+    if args.resume:
+        if checkpoint.exists:
+            print(
+                f"resuming from checkpoint {args.checkpoint} "
+                f"({len(checkpoint.load())} level(s) already done)"
+            )
+    elif checkpoint.exists:
+        checkpoint.clear()
+        print(f"cleared stale checkpoint {args.checkpoint} (no --resume)")
+    return checkpoint
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -302,7 +278,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.harness import reproduce_table_timed
     from .perf.parallel import fan_out
 
-    _apply_perf_flags(args)
     if args.json:
         from .experiments.export import export_json
 
@@ -316,7 +291,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         names = list(CASE_STUDY_TABLES)
     else:
         names = [args.table]
-    timed = fan_out(reproduce_table_timed, names, jobs=args.jobs)
+    timed = fan_out(
+        reproduce_table_timed,
+        names,
+        jobs=args.jobs,
+        retries=args.retries,
+        timeout_s=args.timeout_s,
+    )
     ok = True
     for entry in timed:
         print(entry.table.render())
@@ -332,7 +313,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .perf.cache import cached_run_trace
     from .sim import SimConfig
 
-    _apply_perf_flags(args)
     machine = get_machine(args.machine)
     steps = tuple(args.steps.split(",")) if args.steps else ()
     if args.trace:
@@ -386,7 +366,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"L2 MSHR occ {stats.avg_occupancy(2):.2f}"
     )
     print(f"  prefetch fraction {stats.memory.prefetch_fraction:.0%}")
-    _print_batch_notice(args, stats)
     print()
     report = RoutineAnalyzer(machine).analyze_run(stats)
     print(report.render())
@@ -511,7 +490,6 @@ def _cmd_advisor(args: argparse.Namespace) -> int:
     from .core.advisor import Advisor
     from .workloads import get_workload
 
-    _apply_perf_flags(args)
     machine = get_machine(args.machine)
     workload = get_workload(args.workload)
     result = Advisor(workload, machine, fast=args.fast).run()
@@ -531,9 +509,13 @@ def _cmd_crossval_analytic(args: argparse.Namespace) -> int:
         table_ok,
     )
 
-    _apply_perf_flags(args)
     machines = [get_machine(name) for name in args.machine] if args.machine else None
-    rows = crossval_analytic(machines=machines)
+    rows = crossval_analytic(
+        machines=machines,
+        jobs=args.jobs,
+        retries=args.retries,
+        timeout_s=args.timeout_s,
+    )
     print(render_analytic_crossval(rows))
     _print_cache_summary()
     if args.json:
@@ -647,48 +629,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared execution-performance flags for simulation-backed commands.
-    perf_flags = argparse.ArgumentParser(add_help=False)
-    perf_flags.add_argument(
+    # Run options, declared once; each command attaches only the groups
+    # it honours.  Fan-out flags reach fan_out as arguments; the
+    # simulation flags are mirrored into the environment for workers.
+    fan_out_flags = argparse.ArgumentParser(add_help=False)
+    fan_out_flags.add_argument(
         "--jobs",
         "-j",
         type=int,
         default=None,
-        help="worker processes for independent simulations "
+        help="worker processes for the command's independent tasks "
         "(default: REPRO_JOBS or serial; 0 = one per CPU)",
     )
-    perf_flags.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed simulation result cache",
-    )
-    perf_flags.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batch-stepping fast path: retire provable L1-hit runs "
-        "vectorized, falling back to the event engine for the miss "
-        "stream; --no-batch forces the pure event engine, which is the "
-        "reference (results are not bit-identical everywhere: the batch "
-        "path diverges on comd/knl and comd/a64fx, see "
-        "docs/PERFORMANCE.md)",
-    )
-    perf_flags.add_argument(
+    fan_out_flags.add_argument(
         "--retries",
         type=int,
         default=None,
-        help="per-item retries for failing simulations "
+        help="per-task retries for failing tasks "
         "(default: REPRO_RETRIES or 0; crashed/hung workers always get "
         "a small retry budget)",
     )
-    perf_flags.add_argument(
+    fan_out_flags.add_argument(
         "--timeout-s",
         type=float,
         default=None,
         help="per-task timeout in seconds with --jobs > 1 "
         "(default: REPRO_TIMEOUT_S or none; 0 disables)",
     )
-    perf_flags.add_argument(
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the content-addressed simulation result cache",
+    )
+    sim_flags.add_argument(
         "--sanitize",
         action="store_true",
         help="reprosan instrumented mode: audit Little's Law per queue, "
@@ -702,7 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_char = sub.add_parser(
-        "characterize", help="measure a latency profile", parents=[perf_flags]
+        "characterize",
+        help="measure a latency profile",
+        parents=[fan_out_flags, sim_flags],
     )
     p_char.add_argument("--machine", required=True, choices=machine_names())
     p_char.add_argument("--levels", type=int, default=12, help="load levels")
@@ -767,13 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.set_defaults(func=_cmd_ingest)
 
     p_rep = sub.add_parser(
-        "reproduce", help="regenerate paper tables", parents=[perf_flags]
+        "reproduce", help="regenerate paper tables", parents=[fan_out_flags]
     )
-    p_rep.add_argument(
-        "--table",
-        default="all",
-        choices=["all", "isx", "hpcg", "pennant", "comd", "minighost", "snap"],
-    )
+    p_rep.add_argument("--table", default="all", choices=("all",) + WORKLOAD_NAMES)
     p_rep.add_argument(
         "--json", help="write the full reproduction (tables + figures) as JSON"
     )
@@ -782,12 +754,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate",
         help="run a workload trace on the simulator and analyze it",
-        parents=[perf_flags],
+        parents=[sim_flags],
+    )
+    p_sim.add_argument(
+        "--batch",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="batch-stepping fast path: retire provable L1-hit runs "
+        "vectorized, falling back to the event engine for the miss "
+        "stream; --no-batch forces the pure event engine, which is the "
+        "reference (results are not bit-identical everywhere: the batch "
+        "path diverges on comd/knl and comd/a64fx, see "
+        "docs/PERFORMANCE.md)",
     )
     p_sim.add_argument("--machine", required=True, choices=machine_names())
     p_sim.add_argument(
         "--workload",
-        choices=["isx", "hpcg", "pennant", "comd", "minighost", "snap"],
+        choices=WORKLOAD_NAMES,
         help="workload to generate a trace for (or use --trace)",
     )
     p_sim.add_argument(
@@ -818,11 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="generate a workload trace and write it to a file"
     )
     p_texp.add_argument("--machine", required=True, choices=machine_names())
-    p_texp.add_argument(
-        "--workload",
-        required=True,
-        choices=["isx", "hpcg", "pennant", "comd", "minighost", "snap"],
-    )
+    p_texp.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     p_texp.add_argument(
         "--steps", default="", help="comma-separated transforms, e.g. l2_prefetch"
     )
@@ -894,16 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=_cmd_recipe_score)
 
     p_adv = sub.add_parser(
-        "advisor",
-        help="run the Figure-1 recipe loop to convergence",
-        parents=[perf_flags],
+        "advisor", help="run the Figure-1 recipe loop to convergence"
     )
     p_adv.add_argument("--machine", required=True, choices=machine_names())
-    p_adv.add_argument(
-        "--workload",
-        required=True,
-        choices=["isx", "hpcg", "pennant", "comd", "minighost", "snap"],
-    )
+    p_adv.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     p_adv.add_argument(
         "--fast",
         action="store_true",
@@ -917,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         "crossval-analytic",
         help="analytic-vs-simulator error table for the --fast mode "
         "(exits 1 if an eligible cell breaks the documented bound)",
-        parents=[perf_flags],
+        parents=[fan_out_flags, sim_flags],
     )
     p_cv.add_argument(
         "--machine",
@@ -967,6 +940,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_sim_flags(args)
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

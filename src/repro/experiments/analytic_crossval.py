@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence
 
 from ..machines.registry import paper_machines
 from ..machines.spec import MachineSpec
+from ..memory.profile import LatencyProfile
 from ..perf.cache import SimCache
 from ..perfmodel.queueing import (
     ANALYTIC_BW_ERROR_BOUND,
@@ -46,7 +47,7 @@ from ..perfmodel.queueing import (
 from ..perfmodel.solver import solve_operating_point
 from ..workloads import ALL_WORKLOADS
 from ..workloads.base import TraceSpec, Workload
-from ..xmem.runner import XMemConfig, XMemRunner
+from ..xmem.runner import XMemConfig, characterize_machine
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,16 @@ def _validate_cell(
     workload: Workload,
     machine: MachineSpec,
     params: QueueingParams,
-    runner: XMemRunner,
+    profile: LatencyProfile,
+    sim_cores: int,
 ) -> AnalyticCrossValRow:
     """Grade one workload × machine cell (profile/params precomputed)."""
     state = workload.base_state(machine)
     decision = state_eligibility(state)
     if decision.eligible:
-        trace = workload.generate_trace(
-            machine,
-            spec=TraceSpec(threads=runner.config.sim_cores),
-        )
+        trace = workload.generate_trace(machine, spec=TraceSpec(threads=sim_cores))
         decision = trace_eligibility(trace)
 
-    profile = runner.characterize()
     reference = solve_operating_point(
         machine, state.demand_mlp, state.binding_level, curve=profile
     )
@@ -135,6 +133,9 @@ def crossval_analytic(
     workloads: Optional[Sequence[Workload]] = None,
     xmem_config: Optional[XMemConfig] = None,
     cache: Optional[SimCache] = None,
+    jobs: Optional[int] = None,
+    retries: Optional[int] = None,
+    timeout_s: Optional[float] = None,
 ) -> List[AnalyticCrossValRow]:
     """Build the full analytic-vs-simulator error table.
 
@@ -143,6 +144,8 @@ def crossval_analytic(
     workload row; the per-cell work is then two algebraic solves.  All
     simulator runs go through the content-addressed SimStats cache, so
     a warm re-run of the whole table is seconds, not minutes.
+    ``jobs``, ``retries`` and ``timeout_s`` fan out each X-Mem sweep
+    (:func:`~repro.xmem.runner.characterize_machine`).
     """
     config = xmem_config or XMemConfig()
     rows: List[AnalyticCrossValRow] = []
@@ -153,11 +156,15 @@ def crossval_analytic(
             accesses_per_thread=config.accesses_per_thread,
             cache=cache,
         )
-        runner = XMemRunner(machine, config)
+        profile = characterize_machine(
+            machine, config, jobs=jobs, retries=retries, timeout_s=timeout_s
+        )
         for workload in workloads or ALL_WORKLOADS:
             if machine.name not in workload.machines():
                 continue
-            rows.append(_validate_cell(workload, machine, params, runner))
+            rows.append(
+                _validate_cell(workload, machine, params, profile, config.sim_cores)
+            )
     return rows
 
 

@@ -92,6 +92,17 @@ _ON_ERROR_MODES = ("raise", "skip", "retry")
 _ON_ERROR_RETRY_DEFAULT = 2
 
 
+def _from_env(name: str, parse: Callable[[str], T], kind: str, default: T) -> T:
+    """``parse`` of env var ``name``, or ``default`` when unset or blank."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be {kind}, got {raw!r}") from exc
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker-count resolution: explicit > ``REPRO_JOBS`` > serial.
 
@@ -101,15 +112,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     they arrive via the parameter or the environment.
     """
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from exc
+        jobs = _from_env("REPRO_JOBS", int, "an integer", 1)
     if jobs < 0:
         raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
     if jobs > MAX_JOBS:
@@ -125,15 +128,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def resolve_retries(retries: Optional[int] = None) -> int:
     """Retry-budget resolution: explicit > ``REPRO_RETRIES`` > 0."""
     if retries is None:
-        env = os.environ.get("REPRO_RETRIES", "").strip()
-        if not env:
-            return 0
-        try:
-            retries = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"REPRO_RETRIES must be an integer, got {env!r}"
-            ) from exc
+        retries = _from_env("REPRO_RETRIES", int, "an integer", 0)
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if retries > MAX_RETRIES:
@@ -150,15 +145,7 @@ def resolve_timeout_s(timeout_s: Optional[float] = None) -> Optional[float]:
     values are rejected.
     """
     if timeout_s is None:
-        env = os.environ.get("REPRO_TIMEOUT_S", "").strip()
-        if not env:
-            return None
-        try:
-            timeout_s = float(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"REPRO_TIMEOUT_S must be a number, got {env!r}"
-            ) from exc
+        timeout_s = _from_env("REPRO_TIMEOUT_S", float, "a number", 0.0)
     if math.isnan(timeout_s) or math.isinf(timeout_s):
         raise ConfigurationError(
             f"timeout_s must be finite, got {timeout_s!r}"
@@ -190,7 +177,12 @@ class Ok(Generic[R]):
 
 @dataclass(frozen=True)
 class Err:
-    """A permanently failed item: the terminal exception and context."""
+    """A permanently failed item: the terminal exception and context.
+
+    ``attempts`` counts failures of the terminal kind only: the calls
+    of ``func`` that raised, or, for an infrastructure failure (killed
+    worker, timeout), the attempts infrastructure lost.
+    """
 
     exception: BaseException
     attempts: int
@@ -205,8 +197,9 @@ class Err:
     def reraise(self) -> None:
         """Raise the terminal failure the way ``on_error="raise"`` does.
 
-        A single-attempt failure re-raises the original exception
-        unchanged (bit-compatible with a plain loop); a retried one
+        An item whose ``func`` raised once re-raises the original
+        exception unchanged (bit-compatible with a plain loop), however
+        many attempts infrastructure failures cost it; a retried one
         raises :class:`~repro.errors.RetryExhausted` with the original
         chained as ``__cause__``.
         """
@@ -253,11 +246,16 @@ class _TrackedCall:
 
 @dataclass
 class _Task:
-    """One in-flight item: its position, payload, and attempts so far."""
+    """One in-flight item: its position, payload, and attempts so far.
+
+    ``failures`` counts the attempts in which ``func`` itself raised;
+    the rest of ``attempts`` were lost to infrastructure.
+    """
 
     index: int
     item: Any
     attempts: int = 0
+    failures: int = 0
 
 
 def _func_label(func: Callable[..., Any]) -> str:
@@ -334,14 +332,23 @@ class _FanOutRun:
     ) -> Tuple[bool, float]:
         """Charge one failed attempt; requeue or finalize.
 
-        Returns ``(requeued, backoff_delay_s)``.
+        ``func`` failures and infrastructure failures draw on separate
+        budgets, so a killed worker never changes how often ``func`` may
+        raise, nor which exception the caller finally sees.  Returns
+        ``(requeued, backoff_delay_s)``.
         """
         from ..resilience.retry import backoff_delay
 
         failed_attempt = task.attempts
         task.attempts += 1
-        budget = max(self.retries, INFRA_RETRIES) if infra else self.retries
-        if task.attempts <= budget:
+        if infra:
+            charged = task.attempts - task.failures
+            budget = max(self.retries, INFRA_RETRIES)
+        else:
+            task.failures += 1
+            charged = task.failures
+            budget = self.retries
+        if charged <= budget:
             delay = backoff_delay(
                 failed_attempt,
                 base_s=self.backoff_base_s,
@@ -351,7 +358,7 @@ class _FanOutRun:
             return True, delay
         self.outcomes[task.index] = Err(
             exception=exc,
-            attempts=task.attempts,
+            attempts=charged,
             index=task.index,
             label=self.label,
         )
@@ -398,12 +405,14 @@ class _FanOutRun:
 
         A broken pool cannot tell us *which* task killed the worker, so
         no individual task is blamed for it: unfinished tasks are
-        requeued unchanged while any finished results are kept.  Only a
-        round that makes no progress at all (nothing completed, nothing
-        individually charged) charges every unfinished task one
-        *infrastructure* attempt — that re-rolls the faulting task's
-        injection key and bounds the total number of rounds, without
-        letting one poisonous item exhaust innocent bystanders' budgets.
+        requeued unchanged while finished ones are settled as usual —
+        a result is kept, an exception ``func`` raised is charged to its
+        task.  Only a round that makes no progress at all (nothing
+        completed, nothing individually charged) charges every unfinished
+        task one *infrastructure* attempt — that re-rolls the faulting
+        task's injection key and bounds the total number of rounds,
+        without letting one poisonous item exhaust innocent bystanders'
+        budgets.
         """
         submitted: List[Tuple[_Task, Future[Tuple[R, Any]]]] = [
             (task, pool.submit(self.tracked, task.item, self._fault_key(task)))
@@ -417,22 +426,13 @@ class _FanOutRun:
         charged = False
         max_delay = 0.0
         for task, future in submitted:
-            if broken or unusable is not None:
-                # The pool is gone; keep finished work, set the rest
-                # aside (their fate depends on whether the round made
-                # progress — decided below).
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    value, delta = future.result()
-                    self._record_ok(task, value, delta)
-                    completed += 1
-                elif unusable is not None:
-                    self.pending.append(task)
-                else:
-                    victims.append(task)
+            if (broken or unusable is not None) and (
+                not future.done() or future.cancelled()
+            ):
+                # The pool is gone; set unfinished tasks aside (their
+                # fate depends on whether the round made progress —
+                # decided below).  Finished ones fall through.
+                (victims if unusable is None else self.pending).append(task)
                 continue
             try:
                 value, delta = future.result(timeout=self.timeout_s)
@@ -454,7 +454,7 @@ class _FanOutRun:
             except BrokenProcessPool as exc:
                 broken = True
                 broken_exc = exc
-                victims.append(task)
+                (victims if unusable is None else self.pending).append(task)
             except Exception as exc:
                 if _is_pickling_failure(exc):
                     unusable = exc
@@ -554,8 +554,8 @@ def fan_out(
     budget is exhausted:
 
     * ``"raise"`` (default) — the first failing item's terminal
-      exception propagates: unchanged original exception when it failed
-      its only attempt, :class:`~repro.errors.RetryExhausted` (with the
+      exception propagates: unchanged original exception when ``func``
+      raised once, :class:`~repro.errors.RetryExhausted` (with the
       original chained) when retries were consumed;
     * ``"retry"`` — like ``"raise"`` but implies a retry budget of
       ``2`` when ``retries`` was not given;

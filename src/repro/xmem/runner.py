@@ -50,12 +50,10 @@ class XMemConfig:
 
     ``sim_cores`` controls the simulated slice; the achieved bandwidths
     are scaled back to full-socket numbers so the resulting profile is
-    directly usable with full-socket observed bandwidths.  ``batch``
-    forwards to :attr:`repro.sim.hierarchy.SimConfig.batch` (the
-    batch-stepping fast path).  The event engine (``batch=False``) is
-    the reference; the batch path is not bit-identical on every trace
-    (it diverges on the CoMD paper cells, see docs/PERFORMANCE.md), but
-    it never engages on the X-Mem sweep, so profiles match either way.
+    directly usable with full-socket observed bandwidths.  Each level
+    runs at the default :class:`~repro.sim.hierarchy.SimConfig`
+    execution strategy; the batch-stepping fast path never engages on
+    these streaming traces, so the event engine decides every profile.
     """
 
     sim_cores: int = 2
@@ -65,7 +63,6 @@ class XMemConfig:
     max_gap_cycles: float = 400.0
     hw_prefetch: bool = True
     window_per_core: int = 32
-    batch: bool = True
 
 
 class XMemRunner:
@@ -94,7 +91,6 @@ class XMemRunner:
             threads_per_core=1,
             window_per_core=cfg.window_per_core,
             hw_prefetch=cfg.hw_prefetch,
-            batch=cfg.batch,
         )
         stats = cached_run_trace(trace, sim_cfg)
         slice_fraction = cfg.sim_cores / self.machine.active_cores

@@ -5,10 +5,12 @@ paper cells (6 workloads x 3 machines) at the ``repro simulate``
 defaults, plus the pure event-engine fingerprints of the two CoMD cells
 on which the all-hit batch path is known to diverge, plus the
 :func:`~repro.sim.coltrace.trace_digest` of each executable mini-app's
-extracted trace on ``skl`` at the app defaults.  A golden changes only
-when the simulated physics (or a trace's content) does, so regeneration
-demands a stated reason, which belongs in the change log next to the
-new numbers::
+extracted trace on ``skl`` at the app defaults, plus the X-Mem
+:class:`~repro.memory.profile.LatencyProfile` points of the three paper
+machines at the default :class:`~repro.xmem.runner.XMemConfig`.  A
+golden changes only when the simulated physics (or a trace's content)
+does, so regeneration demands a stated reason, which belongs in the
+change log next to the new numbers::
 
     PYTHONPATH=src python tests/golden/regenerate.py --reason "<why>"
 """
@@ -19,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Any, Dict, List
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "sim_fingerprints.json"
 
@@ -70,8 +72,17 @@ def app_trace_digest(app: str) -> str:
     return trace_digest(trace)
 
 
-def compute_goldens() -> Dict[str, Dict[str, str]]:
-    """Every pinned fingerprint, keyed by section then ``workload/machine``."""
+def xmem_profile_points(machine_name: str) -> List[List[float]]:
+    """``[bandwidth_bytes, latency_ns]`` of one machine's default X-Mem profile."""
+    from repro.machines import get_machine
+    from repro.xmem import XMemConfig, characterize_machine
+
+    profile = characterize_machine(get_machine(machine_name), XMemConfig(), jobs=1)
+    return [[p.bandwidth_bytes, p.latency_ns] for p in profile.points]
+
+
+def compute_goldens() -> Dict[str, Dict[str, Any]]:
+    """Every pinned value, keyed by section then cell, app or machine."""
     cells = [f"{w}/{m}" for w in WORKLOADS for m in MACHINES]
     return {
         "simulate_defaults": {cell: cell_fingerprint(cell) for cell in cells},
@@ -79,6 +90,7 @@ def compute_goldens() -> Dict[str, Dict[str, str]]:
             cell: cell_fingerprint(cell, batch=False) for cell in EVENT_ENGINE_CELLS
         },
         "app_traces": {app: app_trace_digest(app) for app in APPS},
+        "xmem_profiles": {m: xmem_profile_points(m) for m in MACHINES},
     }
 
 

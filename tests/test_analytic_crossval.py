@@ -13,6 +13,7 @@ from repro.experiments.analytic_crossval import (
     rows_to_json,
     table_ok,
 )
+from repro.machines import get_machine
 from repro.perf.cache import SimCache
 from repro.perfmodel.queueing import (
     ANALYTIC_BW_ERROR_BOUND,
@@ -97,3 +98,56 @@ def test_full_grid_shape_is_six_by_three():
 def test_row_is_frozen(rows):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rows[0].workload = "x"
+
+
+class TestSweepsOncePerMachine:
+    """The X-Mem profile is measured once per machine, not once per row."""
+
+    TINY = XMemConfig(levels=3, accesses_per_thread=300)
+
+    def _run(self, monkeypatch, tmp_path, **fan_out_kwargs):
+        import repro.perf.cache as cache_module
+        from repro.xmem.runner import XMemRunner
+
+        monkeypatch.setattr(
+            cache_module, "_global_cache", SimCache(tmp_path, enabled=False)
+        )
+        calls = []
+        measure_level = XMemRunner.measure_level
+
+        def counted(self, gap_cycles):
+            calls.append(gap_cycles)
+            return measure_level(self, gap_cycles)
+
+        monkeypatch.setattr(XMemRunner, "measure_level", counted)
+        picked = [get_workload(name) for name in ("isx", "comd", "hpcg")]
+        rows = crossval_analytic(
+            machines=[get_machine("skl")],
+            workloads=picked,
+            xmem_config=self.TINY,
+            cache=SimCache(tmp_path, enabled=False),
+            **fan_out_kwargs,
+        )
+        return rows, calls
+
+    def test_uncached_run_measures_each_level_once(self, monkeypatch, tmp_path):
+        from repro.perfmodel.queueing import DEFAULT_PROBE_GAPS
+
+        monkeypatch.setenv("REPRO_JOBS", "1")  # count calls in-process
+        rows, calls = self._run(monkeypatch, tmp_path)
+        assert len(rows) == 3
+        assert len(calls) == len(DEFAULT_PROBE_GAPS) + self.TINY.levels
+
+    def test_fan_out_options_reach_the_sweep(self, monkeypatch, tmp_path):
+        import repro.perf.parallel as parallel
+
+        seen = []
+        real_fan_out = parallel.fan_out
+
+        def spy(func, items, **kwargs):
+            seen.append(kwargs)
+            return real_fan_out(func, items, **kwargs)
+
+        monkeypatch.setattr(parallel, "fan_out", spy)
+        self._run(monkeypatch, tmp_path, jobs=1, retries=1, timeout_s=60.0)
+        assert seen == [{"jobs": 1, "retries": 1, "timeout_s": 60.0}]

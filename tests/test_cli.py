@@ -91,3 +91,58 @@ class TestParser:
     def test_unknown_machine_rejected_by_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--machine", "epyc", "--bandwidth", "1"])
+
+
+#: Which run flags each command honours (and therefore accepts).
+RUN_FLAG_TABLE = {
+    "characterize": {"--jobs", "--retries", "--timeout-s", "--no-cache", "--sanitize"},
+    "reproduce": {"--jobs", "--retries", "--timeout-s"},
+    "simulate": {"--no-cache", "--batch", "--sanitize"},
+    "advisor": set(),
+    "crossval-analytic": {"--jobs", "--retries", "--timeout-s", "--no-cache", "--sanitize"},
+}
+_COMMAND_ARGS = {
+    "characterize": ["--machine", "skl"],
+    "reproduce": [],
+    "simulate": ["--machine", "skl", "--workload", "isx"],
+    "advisor": ["--machine", "skl", "--workload", "isx"],
+    "crossval-analytic": [],
+}
+#: Every spelling of each run flag, with a valid value.
+_FLAG_SPELLINGS = {
+    "--jobs": (["--jobs", "2"], ["-j", "2"]),
+    "--retries": (["--retries", "1"],),
+    "--timeout-s": (["--timeout-s", "5"],),
+    "--no-cache": (["--no-cache"],),
+    "--batch": (["--batch"], ["--no-batch"]),
+    "--sanitize": (["--sanitize"],),
+}
+
+
+class TestRunFlagTable:
+    @pytest.mark.parametrize(
+        "command,flag,spelling",
+        [
+            pytest.param(command, flag, spelling, id=f"{command} {' '.join(spelling)}")
+            for command in RUN_FLAG_TABLE
+            for flag, spellings in _FLAG_SPELLINGS.items()
+            for spelling in spellings
+        ],
+    )
+    def test_command_accepts_exactly_its_run_flags(
+        self, command, flag, spelling, capsys
+    ):
+        argv = [command] + _COMMAND_ARGS[command] + spelling
+        if flag in RUN_FLAG_TABLE[command]:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_workload_choices_match_the_registry(self):
+        from repro.cli import WORKLOAD_NAMES
+        from repro.workloads import ALL_WORKLOADS
+
+        assert WORKLOAD_NAMES == tuple(w.name for w in ALL_WORKLOADS)

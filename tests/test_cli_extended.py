@@ -144,15 +144,34 @@ class TestCharacterizeResume:
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
 
-    def test_retry_flags_mirror_into_env(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [ARGS, ["reproduce", "--table", "isx"]],
+        ids=["characterize", "reproduce"],
+    )
+    def test_fan_out_flags_reach_fan_out(self, argv, monkeypatch):
         import os
 
-        # setenv (not delenv) so teardown restores the ORIGINAL state —
-        # delenv on an absent var registers nothing to undo, and the
-        # values main() writes would leak into later tests.
+        import repro.perf.parallel as parallel
+
+        seen = []
+        real_fan_out = parallel.fan_out
+
+        def spy(func, items, **kwargs):
+            seen.append(kwargs)
+            return real_fan_out(func, items, **kwargs)
+
+        monkeypatch.setattr(parallel, "fan_out", spy)
+        # setenv (not delenv) so teardown restores the original state
+        # even if main() did write the variables.
         monkeypatch.setenv("REPRO_RETRIES", "")
         monkeypatch.setenv("REPRO_TIMEOUT_S", "")
-        code = main(self.ARGS + ["--retries", "2", "--timeout-s", "30"])
+        code = main(argv + ["-j", "1", "--retries", "2", "--timeout-s", "30"])
         assert code == 0
-        assert os.environ["REPRO_RETRIES"] == "2"
-        assert os.environ["REPRO_TIMEOUT_S"] == "30.0"
+        assert seen
+        for kwargs in seen:
+            assert kwargs["jobs"] == 1
+            assert kwargs["retries"] == 2
+            assert kwargs["timeout_s"] == 30.0
+        # Passed as arguments, not mirrored into the environment.
+        assert os.environ["REPRO_RETRIES"] == os.environ["REPRO_TIMEOUT_S"] == ""

@@ -3,7 +3,9 @@
 Equivalence tests only prove two code paths agree with each other; these
 pin what the simulator produces, so a change that moves both paths the
 same way still fails.  The ``app_traces`` section pins the content of
-every executable mini-app's extracted trace the same way.  Regenerate
+every executable mini-app's extracted trace the same way, and
+``xmem_profiles`` the three paper machines' default X-Mem latency
+profiles (the paper's once-per-machine prerequisite).  Regenerate
 with ``tests/golden/regenerate.py`` (which demands a reason) only when
 the simulated physics, or a trace's content, is meant to change.
 """
@@ -47,6 +49,12 @@ def test_app_trace_digest(app):
     assert regenerate.app_trace_digest(app) == GOLDENS["app_traces"][app]
 
 
+@pytest.mark.parametrize("machine", sorted(GOLDENS["xmem_profiles"]))
+def test_xmem_profile_points(machine):
+    expected = GOLDENS["xmem_profiles"][machine]
+    assert regenerate.xmem_profile_points(machine) == expected
+
+
 def test_goldens_cover_the_paper_matrix():
     assert GOLDENS["config"] == {
         "threads": regenerate.THREADS,
@@ -59,6 +67,7 @@ def test_goldens_cover_the_paper_matrix():
     assert set(GOLDENS["simulate_defaults"]) == cells
     assert set(GOLDENS["event_engine"]) == set(regenerate.EVENT_ENGINE_CELLS)
     assert set(GOLDENS["app_traces"]) == set(regenerate.APPS)
+    assert set(GOLDENS["xmem_profiles"]) == set(regenerate.MACHINES)
 
 
 def test_regenerate_requires_reason(capsys):

@@ -350,6 +350,86 @@ class TestInjectedWorkerFaults:
         assert delta.misses == len(items)
 
 
+class _ScriptedPool:
+    """In-process stand-in for ProcessPoolExecutor with scripted breaks.
+
+    ``submit`` runs the call at once; an attempt whose fault key is in
+    ``breaks`` comes back holding ``BrokenProcessPool`` instead, as if
+    its worker had been killed.  Every future is done before the round
+    reads it, the order a real pool produces when the break lands last.
+    """
+
+    def __init__(self, breaks):
+        self.breaks = breaks
+        self._processes = {}
+
+    def __call__(self, max_workers=None):
+        return self
+
+    def submit(self, fn, item, fault_key):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        future = Future()
+        if fault_key in self.breaks:
+            future.set_exception(BrokenProcessPool("worker killed"))
+            return future
+        try:
+            future.set_result(fn(item, fault_key))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenPoolAccounting:
+    """A pool break never changes which exception ``func``'s failure raises."""
+
+    def _outcomes(self, monkeypatch, breaks, items):
+        import repro.perf.parallel as parallel_module
+
+        monkeypatch.setattr(
+            parallel_module, "ProcessPoolExecutor", _ScriptedPool(breaks)
+        )
+        return fan_out_outcomes(_fail_on_three, items, jobs=2, backoff_base_s=0.0)
+
+    def test_finished_failure_is_charged_not_a_victim(self, monkeypatch):
+        # Item 2's worker dies; item 3 had already raised.  Its own
+        # exception is charged, so the caller sees it unchanged.
+        outcomes = self._outcomes(monkeypatch, {"_fail_on_three:0:a0"}, [2, 3])
+        ok, err = outcomes
+        assert ok.ok and ok.value == 2
+        assert isinstance(err.exception, ValueError)
+        assert err.attempts == 1
+        with pytest.raises(ValueError, match="boom on 3"):
+            err.reraise()
+
+    def test_infrastructure_attempts_do_not_exhaust_func(self, monkeypatch):
+        # Both first attempts die (a futile round charges each one
+        # infrastructure attempt); item 3 then raises once.
+        breaks = {"_fail_on_three:0:a0", "_fail_on_three:1:a0"}
+        ok, err = self._outcomes(monkeypatch, breaks, [2, 3])
+        assert ok.ok and ok.attempts == 2
+        assert err.attempts == 1
+        with pytest.raises(ValueError, match="boom on 3"):
+            err.reraise()
+
+    def test_repeated_breaks_exhaust_infrastructure_budget(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.perf.parallel import INFRA_RETRIES
+
+        breaks = {f"_fail_on_three:0:a{a}" for a in range(INFRA_RETRIES + 1)}
+        breaks |= {f"_fail_on_three:1:a{a}" for a in range(INFRA_RETRIES + 1)}
+        outcomes = self._outcomes(monkeypatch, breaks, [2, 4])
+        assert all(isinstance(o.exception, BrokenProcessPool) for o in outcomes)
+        assert all(o.attempts == INFRA_RETRIES + 1 for o in outcomes)
+        with pytest.raises(RetryExhausted):
+            outcomes[0].reraise()
+
+
 class TestSerialFallback:
     def test_pool_that_cannot_start_falls_back(self, monkeypatch):
         # Sandboxes without working semaphores raise OSError at pool
