@@ -1,7 +1,7 @@
 """RES — resilience hygiene: no silent exception swallows.
 
 PR 4 gives the pipeline sanctioned places to absorb failure: the
-:mod:`repro.resilience` package (fault injection, retry, checkpoint)
+:mod:`repro.resilience` package (fault injection, retry)
 and :func:`repro.perf.parallel.fan_out`'s pool machinery, where broken
 workers are part of the contract and every absorbed error is accounted
 for in a per-item outcome.  Everywhere else, a handler that catches a

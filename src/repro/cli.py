@@ -42,9 +42,8 @@ from typing import List, Optional
 
 from .core.analyzer import RoutineAnalyzer
 from .core.classify import AccessPattern, Classification
-from .errors import ConfigurationError, ReproError
+from .errors import ReproError
 from .machines.registry import get_machine, machine_names, paper_machines
-from .resilience.checkpoint import SweepCheckpoint
 from .units import ns_to_us, to_gb_per_s
 from .xmem.runner import XMemConfig, characterize_machine
 
@@ -145,7 +144,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             f"{time.perf_counter() - start:.3f}s wall"
         )
     else:
-        checkpoint = _sweep_checkpoint(args, machine.name)
         start = time.perf_counter()
         profile = characterize_machine(
             machine,
@@ -153,7 +151,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             retries=args.retries,
             timeout_s=args.timeout_s,
-            checkpoint=checkpoint,
         )
         footer = f"characterized in {time.perf_counter() - start:.2f}s wall"
     print(
@@ -168,27 +165,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         profile.save(args.out)
         print(f"saved to {args.out}")
     return 0
-
-
-def _sweep_checkpoint(
-    args: argparse.Namespace, machine_name: str
-) -> Optional[SweepCheckpoint]:
-    """The ``--checkpoint``/``--resume`` store for one X-Mem sweep."""
-    if not args.checkpoint:
-        if args.resume:
-            raise ConfigurationError("--resume requires --checkpoint")
-        return None
-    checkpoint = SweepCheckpoint(args.checkpoint, label=f"xmem:{machine_name}")
-    if args.resume:
-        if checkpoint.exists:
-            print(
-                f"resuming from checkpoint {args.checkpoint} "
-                f"({len(checkpoint.load())} level(s) already done)"
-            )
-    elif checkpoint.exists:
-        checkpoint.clear()
-        print(f"cleared stale checkpoint {args.checkpoint} (no --resume)")
-    return checkpoint
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -683,17 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--machine", required=True, choices=machine_names())
     p_char.add_argument("--levels", type=int, default=12, help="load levels")
     p_char.add_argument("--out", help="save profile JSON here")
-    p_char.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="record each completed load level to this JSONL checkpoint",
-    )
-    p_char.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed levels from --checkpoint instead of "
-        "starting over",
-    )
     p_char.add_argument(
         "--fast",
         action="store_true",

@@ -150,7 +150,3 @@ class RetryExhausted(ResilienceError):
         super().__init__(
             f"task {label!r} failed after {attempts} attempt(s): {last_error}"
         )
-
-
-class CheckpointError(ResilienceError):
-    """A sweep checkpoint file is unusable (wrong label/version, bad JSON)."""

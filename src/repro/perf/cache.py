@@ -88,6 +88,11 @@ _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 #: separately) never a two-hex-digit shard name.
 _KIND_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
+#: What decoding a damaged entry can raise.  Every one of them makes
+#: the entry a quarantined miss (``RecursionError``: pathologically
+#: nested JSON).
+_DECODE_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError)
+
 #: Persistent hit/miss ledger file (JSON lines, one counter delta per
 #: flush) kept beside the shards.
 TALLIES_FILE = "tallies.jsonl"
@@ -260,25 +265,36 @@ class SimCache:
             return None
         path = self.path_for(digest)
         try:
-            doc = json.loads(path.read_text())
-            if doc.get("schema") != SCHEMA_VERSION or doc.get("digest") != digest:
-                raise ValueError("schema/digest mismatch")
-            stats = SimStats.from_dict(doc["stats"])
+            stats = SimStats.from_dict(self._read_entry(path, digest)["stats"])
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.counters.misses += 1
-            self.counters.errors += 1
-            quarantined = self._quarantine(path)
-            warnings.warn(
-                f"discarding corrupt sim-cache entry {path.name}: {exc}"
-                + (f" (quarantined as {quarantined.name})" if quarantined else ""),
-                stacklevel=2,
-            )
+        except _DECODE_ERRORS as exc:
+            self._discard(path, "sim-cache", exc)
             return None
         self.counters.hits += 1
         return stats
+
+    @staticmethod
+    def _read_entry(path: Path, digest: str) -> Dict[str, Any]:
+        """Parse one entry file and check its schema/digest header."""
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("entry is not a JSON object")
+        if doc.get("schema") != SCHEMA_VERSION or doc.get("digest") != digest:
+            raise ValueError("schema/digest mismatch")
+        return doc
+
+    def _discard(self, path: Path, store: str, exc: BaseException) -> None:
+        """Count a corrupt entry as a miss, quarantine it, and warn."""
+        self.counters.misses += 1
+        self.counters.errors += 1
+        quarantined = self._quarantine(path)
+        warnings.warn(
+            f"discarding corrupt {store} entry {path.name}: {exc}"
+            + (f" (quarantined as {quarantined.name})" if quarantined else ""),
+            stacklevel=3,
+        )
 
     @staticmethod
     def _quarantine(path: Path) -> Optional[Path]:
@@ -335,24 +351,14 @@ class SimCache:
             return None
         path = self.payload_path_for(digest, kind=kind)
         try:
-            doc = json.loads(path.read_text())
-            if doc.get("schema") != SCHEMA_VERSION or doc.get("digest") != digest:
-                raise ValueError("schema/digest mismatch")
-            payload = doc["payload"]
+            payload = self._read_entry(path, digest)["payload"]
             if not isinstance(payload, dict):
                 raise ValueError("payload is not a JSON object")
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.counters.misses += 1
-            self.counters.errors += 1
-            quarantined = self._quarantine(path)
-            warnings.warn(
-                f"discarding corrupt {kind} cache entry {path.name}: {exc}"
-                + (f" (quarantined as {quarantined.name})" if quarantined else ""),
-                stacklevel=2,
-            )
+        except _DECODE_ERRORS as exc:
+            self._discard(path, f"{kind} cache", exc)
             return None
         self.counters.hits += 1
         return payload
@@ -558,7 +564,7 @@ def read_tallies(cache_dir: Path) -> CacheCounters:
     total = CacheCounters()
     path = cache_dir / TALLIES_FILE
     try:
-        text = path.read_text()
+        text = path.read_text(errors="replace")
     except OSError:  # repro: noqa[RES001] - no ledger yet means zero tallies
         return total
     for line in text.splitlines():
@@ -566,6 +572,8 @@ def read_tallies(cache_dir: Path) -> CacheCounters:
             continue
         try:
             doc = json.loads(line)
+            if not isinstance(doc, dict):
+                continue
             total.add(
                 CacheCounters(
                     hits=int(doc.get("hits", 0)),
@@ -574,7 +582,7 @@ def read_tallies(cache_dir: Path) -> CacheCounters:
                     errors=int(doc.get("errors", 0)),
                 )
             )
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError, RecursionError):
             continue  # a torn append must not poison the whole ledger
     return total
 

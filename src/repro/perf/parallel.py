@@ -400,6 +400,22 @@ class _FanOutRun:
                 time.sleep(max_delay)
         return [self.outcomes[i] for i in sorted(self.outcomes)]
 
+    def _submit(
+        self, pool: ProcessPoolExecutor, task: _Task
+    ) -> Future[Tuple[R, Any]]:
+        """Submit one task; a pool that broke mid-round fails its future.
+
+        A worker killed by an earlier task of the same round can break
+        the pool before this task is submitted.  The task then settles
+        like any other victim of the break instead of aborting the round.
+        """
+        try:
+            return pool.submit(self.tracked, task.item, self._fault_key(task))
+        except BrokenProcessPool as exc:
+            future: Future[Tuple[R, Any]] = Future()
+            future.set_exception(exc)
+            return future
+
     def _run_round(self, pool: ProcessPoolExecutor, batch: List[_Task]) -> float:
         """One pool round; returns the backoff delay before the next.
 
@@ -415,8 +431,7 @@ class _FanOutRun:
         budgets.
         """
         submitted: List[Tuple[_Task, Future[Tuple[R, Any]]]] = [
-            (task, pool.submit(self.tracked, task.item, self._fault_key(task)))
-            for task in batch
+            (task, self._submit(pool, task)) for task in batch
         ]
         broken = False
         broken_exc: Optional[BaseException] = None

@@ -1,7 +1,7 @@
-"""Fault-tolerant execution layer: inject, retry, checkpoint, degrade.
+"""Fault-tolerant execution layer: inject, retry, degrade.
 
 The pipeline's scaling substrate (worker pools, on-disk caches, trace
-files, external counter data) fails in four characteristic ways; this
+files, external counter data) fails in characteristic ways; this
 package gives each one a deterministic answer:
 
 * :mod:`repro.resilience.faults` — seeded fault *injection*
@@ -12,20 +12,15 @@ package gives each one a deterministic answer:
   deterministic jitter, consumed by
   :func:`repro.perf.parallel.fan_out`'s per-item retry machinery;
 * :mod:`repro.resilience.quality` — :class:`DataQualityIssue`, the unit
-  of degraded-mode ingestion accounting;
-* :mod:`repro.resilience.checkpoint` — durable JSONL sweep checkpoints
-  keyed by content digests, behind the CLI's ``--resume``.
+  of degraded-mode ingestion accounting.
+
+An interrupted sweep needs no store of its own: every simulation goes
+through the content-addressed sim cache (:mod:`repro.perf.cache`), so
+rerunning the same command replays the completed points.
 
 See ``docs/ROBUSTNESS.md`` for the operational guide.
 """
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    SweepCheckpoint,
-    dataclass_codec,
-    run_checkpointed,
-)
 from .faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -35,22 +30,16 @@ from .faults import (
     parse_fault_spec,
 )
 from .quality import DataQualityIssue, issue_summary
-from .retry import RetryPolicy, backoff_delay
+from .retry import backoff_delay
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
     "DataQualityIssue",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultRule",
-    "RetryPolicy",
-    "SweepCheckpoint",
     "backoff_delay",
     "configure_faults",
-    "dataclass_codec",
     "get_injector",
     "issue_summary",
     "parse_fault_spec",
-    "run_checkpointed",
 ]

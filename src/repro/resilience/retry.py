@@ -18,11 +18,10 @@ the un-jittered exponential schedule.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["RetryPolicy", "backoff_delay"]
+__all__ = ["backoff_delay"]
 
 _BUCKETS = float(1 << 64)
 
@@ -52,30 +51,3 @@ def backoff_delay(
     ideal = min(cap_s, base_s * (2.0**attempt))
     return ideal * (0.5 + _unit_draw(seed, key, attempt))
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget + backoff schedule for one fan-out invocation.
-
-    ``retries`` is the number of *re*-attempts: an item runs at most
-    ``retries + 1`` times.
-    """
-
-    retries: int = 0
-    base_s: float = 0.05
-    cap_s: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.base_s < 0 or self.cap_s < 0:
-            raise ConfigurationError("backoff base/cap must be >= 0")
-
-    def delay_s(self, key: str, attempt: int) -> float:
-        """Delay before re-running ``key`` for retry number ``attempt``."""
-        return backoff_delay(
-            attempt, base_s=self.base_s, cap_s=self.cap_s, seed=self.seed, key=key
-        )

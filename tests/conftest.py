@@ -31,6 +31,46 @@ def _hermetic_sim_cache(tmp_path_factory):
     yield
 
 
+@pytest.fixture
+def fresh_sim_cache(tmp_path, monkeypatch):
+    """Factory of new process-wide cache handles on one temp directory.
+
+    Each call stands in for a new process: a fresh handle (zeroed
+    counters) on ``tmp_path / "sim-cache"``, or a disabled one with
+    ``enabled=False`` (like ``--no-cache``).  The session handle and the
+    environment variables it mirrors are restored afterwards.
+    """
+    import os
+
+    import repro.perf.cache as cache_module
+
+    for name in ("REPRO_CACHE_DIR", "REPRO_CACHE"):
+        monkeypatch.setenv(name, os.environ.get(name, ""))
+    monkeypatch.setattr(cache_module, "_global_cache", cache_module.get_cache())
+
+    def new_handle(enabled: bool = True):
+        return cache_module.configure_cache(
+            cache_dir=tmp_path / "sim-cache", enabled=enabled
+        )
+
+    return new_handle
+
+
+@pytest.fixture
+def exact_cache_counts(monkeypatch):
+    """Park ambient faults and sanitize mode for exact hit/miss counts.
+
+    The CI fault leg corrupts some entries on store (extra misses) and
+    sanitized runs bypass the cache by contract (no hits at all).  Both
+    are restored afterwards.
+    """
+    import repro.resilience.faults as faults_module
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setattr(faults_module, "_global_injector", None)
+
+
 @pytest.fixture(scope="session")
 def skl():
     return get_machine("skl")

@@ -9,19 +9,45 @@ the append-only tallies ledger, and the ``repro cache stats`` scan.
 from __future__ import annotations
 
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CacheKeyError
 from repro.perf.cache import (
+    SCHEMA_VERSION,
+    TALLIES_FILE,
     CacheCounters,
     SimCache,
     collect_stats,
     read_tallies,
     stable_digest,
 )
+from repro.sim.stats import SimStats
 
 DIGEST = stable_digest({"payload": "unit"})
+
+#: Arbitrary JSON values, small enough to keep examples fast.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+_FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 @pytest.fixture
@@ -133,3 +159,126 @@ class TestCollectStats:
         stats = collect_stats(cache)
         assert stats.total_entries == 0
         assert stats.usage["sim"].entries == 0
+
+
+@pytest.fixture(scope="module")
+def stats_doc(skl):
+    """A real SimStats document to mutate into near-valid entries."""
+    from repro.sim import SimConfig, run_trace
+    from repro.xmem.kernels import throughput_trace
+
+    trace = throughput_trace(threads=1, accesses_per_thread=40, line_bytes=64)
+    return run_trace(trace, SimConfig(machine=skl, sim_cores=1)).to_dict()
+
+
+@st.composite
+def _entry_bytes(draw, body_key, body):
+    """Entry-file contents: raw bytes, arbitrary JSON, or a valid header
+    over a damaged body (the only shape that reaches the body decoder)."""
+    kind = draw(st.sampled_from(["bytes", "json", "header"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    doc = {"schema": SCHEMA_VERSION, "digest": DIGEST, body_key: draw(body)}
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _damaged_stats(draw, doc):
+    """``doc`` with one field replaced or dropped, or arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    damaged = dict(doc)
+    key = draw(st.sampled_from(sorted(damaged)))
+    if draw(st.booleans()):
+        del damaged[key]
+    else:
+        damaged[key] = draw(_JSON)
+    return damaged
+
+
+def _load_or_quarantine(load, path: Path, blob: bytes):
+    """Write ``blob`` as the entry, load it, and check the two outcomes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = load()
+    if result is None:
+        assert not path.exists()
+        assert path.with_suffix(".corrupt").read_bytes() == blob
+    return result
+
+
+class TestHostileEntries:
+    """Entry files are the resume store: any bytes load or quarantine."""
+
+    @pytest.mark.parametrize("blob", [b"[]", b"1", b'"x"', b"null", b"[" * 100_000])
+    def test_non_object_entry_is_a_quarantined_miss(self, cache, blob):
+        for load, path in (
+            (lambda: cache.load(DIGEST), cache.path_for(DIGEST)),
+            (
+                lambda: cache.load_payload(DIGEST, kind="calibration"),
+                cache.payload_path_for(DIGEST, kind="calibration"),
+            ),
+        ):
+            assert _load_or_quarantine(load, path, blob) is None
+        assert cache.counters.errors == 2
+
+    @given(data=st.data())
+    @_FUZZ
+    def test_any_sim_entry_loads_or_is_quarantined(self, stats_doc, data):
+        blob = data.draw(_entry_bytes("stats", _damaged_stats(stats_doc)))
+        with tempfile.TemporaryDirectory() as root:
+            cache = SimCache(root, enabled=True)
+            result = _load_or_quarantine(
+                lambda: cache.load(DIGEST), cache.path_for(DIGEST), blob
+            )
+        assert result is None or isinstance(result, SimStats)
+
+    @given(blob=_entry_bytes("payload", _JSON))
+    @_FUZZ
+    def test_any_payload_entry_loads_or_is_quarantined(self, blob):
+        with tempfile.TemporaryDirectory() as root:
+            cache = SimCache(root, enabled=True)
+            result = _load_or_quarantine(
+                lambda: cache.load_payload(DIGEST, kind="calibration"),
+                cache.payload_path_for(DIGEST, kind="calibration"),
+                blob,
+            )
+        assert result is None or isinstance(result, dict)
+
+
+class TestHostileLedger:
+    def test_malformed_lines_are_skipped(self, cache):
+        cache.counters.hits += 2
+        cache.flush_tallies()
+        with open(cache.cache_dir / TALLIES_FILE, "a") as fh:
+            fh.write('[1]\n"x"\n{"hits": 1e400}\n{"hits": NaN}\n')
+        cache.counters.hits += 3
+        cache.flush_tallies()
+        assert read_tallies(cache.cache_dir).hits == 5
+        assert collect_stats(cache).tallies.hits == 5
+
+    @given(
+        lines=st.lists(
+            st.binary(max_size=24).map(lambda b: b.decode("latin-1"))
+            | _JSON.map(json.dumps)
+            | st.dictionaries(
+                st.sampled_from(["hits", "misses", "stores", "errors"]),
+                _JSON | st.just(float("inf")) | st.just(1e300),
+            ).map(json.dumps),
+            max_size=6,
+        )
+    )
+    @_FUZZ
+    def test_any_ledger_reads_without_raising(self, lines):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / TALLIES_FILE
+            path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+            total = read_tallies(Path(root))
+        assert all(
+            isinstance(n, int)
+            for n in (total.hits, total.misses, total.stores, total.errors)
+        )

@@ -117,32 +117,48 @@ class TestLenientIngest:
 class TestCharacterizeResume:
     ARGS = ["characterize", "--machine", "skl", "--levels", "3"]
 
-    def test_checkpoint_then_resume_replays(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
-        first = capsys.readouterr().out
-        assert ck.exists()
-        code = main(self.ARGS + ["--checkpoint", str(ck), "--resume"])
-        resumed = capsys.readouterr().out
-        assert code == 0
-        assert "resuming from checkpoint" in resumed
-        assert "3 level(s) already done" in resumed
-        # The replayed profile must match the fresh one line for line
-        # (wall time and cache stats legitimately differ).
-        profile = first[first.index("latency profile") : first.index("characterized in")]
-        assert profile in resumed
+    def test_rerun_after_interrupt_replays_from_cache(
+        self, capsys, monkeypatch, fresh_sim_cache, exact_cache_counts
+    ):
+        import repro.perf.cache as cache_module
 
-    def test_no_resume_clears_stale_checkpoint(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
+        real_run_trace = cache_module.run_trace
+        finished = []
+
+        def interrupt_after_one(trace, config, **kwargs):
+            if finished:
+                raise KeyboardInterrupt
+            finished.append(trace.routine)
+            return real_run_trace(trace, config, **kwargs)
+
+        argv = self.ARGS + ["-j", "1"]
+        fresh_sim_cache()
+        assert main(argv + ["--no-cache"]) == 0
+        reference = capsys.readouterr().out
+
+        monkeypatch.setattr(cache_module, "run_trace", interrupt_after_one)
+        fresh_sim_cache()
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
         capsys.readouterr()
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
-        assert "cleared stale checkpoint" in capsys.readouterr().out
 
-    def test_resume_without_checkpoint_is_an_error(self, capsys):
-        code = main(self.ARGS + ["--resume"])
-        assert code == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        monkeypatch.setattr(cache_module, "run_trace", real_run_trace)
+        fresh_sim_cache()
+        assert main(argv) == 0
+        resumed = capsys.readouterr().out
+        # Same profile lines; only the wall time and cache line differ.
+        profile = reference[: reference.index("characterized in")]
+        assert resumed.startswith(profile)
+        assert "sim cache: 1 hit(s), 2 miss(es), 2 stored" in resumed
+
+    @pytest.mark.parametrize(
+        "flags", [["--checkpoint", "ck.jsonl"], ["--resume"]], ids=lambda f: f[0]
+    )
+    def test_checkpoint_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -357,10 +357,14 @@ class _ScriptedPool:
     ``breaks`` comes back holding ``BrokenProcessPool`` instead, as if
     its worker had been killed.  Every future is done before the round
     reads it, the order a real pool produces when the break lands last.
+    Submitting an attempt whose key is in ``refuse`` raises
+    ``BrokenProcessPool``, as if an earlier kill had already broken the
+    pool.
     """
 
-    def __init__(self, breaks):
+    def __init__(self, breaks, refuse=()):
         self.breaks = breaks
+        self.refuse = refuse
         self._processes = {}
 
     def __call__(self, max_workers=None):
@@ -370,6 +374,8 @@ class _ScriptedPool:
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
+        if fault_key in self.refuse:
+            raise BrokenProcessPool("pool already broken")
         future = Future()
         if fault_key in self.breaks:
             future.set_exception(BrokenProcessPool("worker killed"))
@@ -428,6 +434,17 @@ class TestBrokenPoolAccounting:
         assert all(o.attempts == INFRA_RETRIES + 1 for o in outcomes)
         with pytest.raises(RetryExhausted):
             outcomes[0].reraise()
+
+    def test_pool_broken_before_submit_is_a_victim(self, monkeypatch):
+        # Item 0's worker dies and breaks the pool before item 1 is
+        # submitted; the round settles item 1 as a victim, not a crash.
+        import repro.perf.parallel as parallel_module
+
+        pool = _ScriptedPool({"_square:0:a0"}, refuse={"_square:1:a0"})
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", pool)
+        outcomes = fan_out_outcomes(_square, [2, 3], jobs=2, backoff_base_s=0.0)
+        assert [o.value for o in outcomes] == [4, 9]
+        assert [o.attempts for o in outcomes] == [2, 2]
 
 
 class TestSerialFallback:

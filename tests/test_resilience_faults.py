@@ -12,7 +12,6 @@ from repro.resilience import (
     FAULT_KINDS,
     FaultInjector,
     FaultRule,
-    RetryPolicy,
     backoff_delay,
     configure_faults,
     get_injector,
@@ -210,14 +209,6 @@ class TestBackoff:
     def test_negative_attempt_rejected(self):
         with pytest.raises(ConfigurationError):
             backoff_delay(-1)
-
-    def test_policy_validates_and_delegates(self):
-        policy = RetryPolicy(retries=3, base_s=0.2, cap_s=1.0, seed=9)
-        assert policy.delay_s("k", 1) == backoff_delay(
-            1, base_s=0.2, cap_s=1.0, seed=9, key="k"
-        )
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(retries=-1)
 
     def test_zero_base_means_no_sleep(self):
         assert backoff_delay(4, base_s=0.0, key="k") == 0.0
