@@ -312,10 +312,11 @@ class CacheReplayChecker:
     Installed as ``CacheArray._sanitizer`` when sanitize mode is on.
     Each ``touch_batch`` records the queued run; at ``flush_batch`` the
     checker replays the accumulated runs with scalar
-    :meth:`~repro.sim.cache.CacheArray.access` semantics over a
-    snapshot taken *before* the first queued run, and requires the
-    array's actual post-flush state to match exactly — order, tags,
-    and dirty bits.
+    :meth:`~repro.sim.cache.CacheArray.access` semantics over an
+    :meth:`~repro.sim.cache.CacheArray.lru_state` snapshot taken
+    *before* the first queued run, and requires the array's actual
+    post-flush ``lru_state()`` to match exactly — order, tags, and
+    dirty bits.
     """
 
     __slots__ = ("array", "runner", "_snapshot", "_runs", "checks")
@@ -330,7 +331,7 @@ class CacheReplayChecker:
     def on_touch(self, line_addrs: Any, writes: Any) -> None:
         """A verified all-hit run was queued for deferred replay."""
         if self._snapshot is None:
-            self._snapshot = [list(ways) for ways in self.array._sets]
+            self._snapshot = self.array.lru_state()
         self._runs.append((line_addrs.tolist(), writes.tolist()))
 
     def on_flush(self) -> None:
@@ -359,10 +360,11 @@ class CacheReplayChecker:
                     )
                     return
         self.checks += 1
-        if reference != array._sets:
+        actual = array.lru_state()
+        if reference != actual:
             diff_sets = [
                 idx
-                for idx, (want, got) in enumerate(zip(reference, array._sets))
+                for idx, (want, got) in enumerate(zip(reference, actual))
                 if want != got
             ]
             self.runner.violate(

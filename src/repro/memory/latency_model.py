@@ -27,10 +27,11 @@ far out-of-range queries raise.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import ProfileDomainError, ProfileError
 
@@ -52,7 +53,7 @@ class LatencyModel(Protocol):
 
 
 def _check_utilization(utilization: float) -> float:
-    if not np.isfinite(utilization):
+    if not math.isfinite(utilization):
         raise ProfileDomainError(f"utilization must be finite, got {utilization}")
     if utilization < 0.0:
         raise ProfileDomainError(f"utilization must be >= 0, got {utilization}")
@@ -74,6 +75,13 @@ class TabulatedLatencyModel:
         construction; utilizations must be unique, latencies must be
         non-decreasing in utilization (a loaded-latency curve never
         improves under load).
+
+    :meth:`latency_ns` runs once per simulated memory request, so the
+    control points are split into coordinate tuples and segment slopes
+    once (:attr:`_segments`), and each query is a
+    :func:`bisect.bisect_right` plus the arithmetic of ``np.interp`` on
+    a scalar, copied operation for operation so that results are
+    bit-identical to it.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -107,6 +115,23 @@ class TabulatedLatencyModel:
             raise ProfileError("loaded latency must be non-decreasing in load")
         object.__setattr__(self, "points", ordered)
 
+    @cached_property
+    def _segments(
+        self,
+    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
+        """Control-point utilizations, latencies and per-segment slopes.
+
+        Cached on the instance, outside the dataclass fields, so the
+        cache-key digest of a model still covers ``points`` alone.
+        """
+        utils = tuple(u for u, _ in self.points)
+        lats = tuple(l for _, l in self.points)
+        slopes = tuple(
+            (lats[j + 1] - lats[j]) / (utils[j + 1] - utils[j])
+            for j in range(len(utils) - 1)
+        )
+        return utils, lats, slopes
+
     @property
     def idle_latency_ns(self) -> float:
         """Latency at the lowest calibrated load (extrapolated flat to 0)."""
@@ -120,14 +145,27 @@ class TabulatedLatencyModel:
     def latency_ns(self, utilization: float) -> float:
         """Interpolated loaded latency at ``utilization``."""
         u = _check_utilization(utilization)
-        utils = np.array([p[0] for p in self.points])
-        lats = np.array([p[1] for p in self.points])
-        # np.interp clamps flat outside the domain, which is the right
-        # behaviour at both ends (idle below, saturated above).  The
-        # explicit clamp guards against float-overflow artifacts when
+        utils, lats, slopes = self._segments
+        # np.interp's scalar path: clamp flat outside the domain (idle
+        # below, saturated above), return the control value exactly on
+        # a control point or at the last one, else interpolate from the
+        # left end of the segment, retrying from the right end if that
+        # gives NaN (an infinite slope times a zero offset).
+        j = bisect_right(utils, u) - 1
+        if j < 0:
+            value = lats[0]
+        elif j >= len(utils) - 1 or utils[j] == u:
+            value = lats[j]
+        else:
+            slope = slopes[j]
+            value = slope * (u - utils[j]) + lats[j]
+            if math.isnan(value):
+                value = slope * (u - utils[j + 1]) + lats[j + 1]
+                if math.isnan(value) and lats[j] == lats[j + 1]:
+                    value = lats[j]
+        # The explicit clamp guards against float-overflow artifacts when
         # control points are pathologically close together: physically
         # the value must lie within the calibrated range.
-        value = float(np.interp(u, utils, lats))
         return float(min(max(value, lats[0]), lats[-1]))
 
 

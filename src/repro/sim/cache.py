@@ -6,6 +6,12 @@ its bandwidth counters miss L3 writebacks and estimates them with
 heuristics; our simulator counts them exactly, which is one of the
 "simulator as counter oracle" advantages documented in DESIGN.md.
 
+Each set is an insertion-ordered ``dict`` mapping line address to its
+dirty bit, iterated from LRU to MRU: a hit is ``pop`` plus reinsert
+(the line moves to the MRU end), the eviction victim is the first key,
+and a probe is a membership test.  :meth:`CacheArray.lru_state` is the
+ordered view for comparisons, since ``dict`` equality ignores order.
+
 Besides the scalar per-access API the array exposes a **vectorized probe
 surface** (:meth:`CacheArray.probe_batch` / :meth:`CacheArray.touch_batch`)
 used by the batch-stepping fast path in :mod:`repro.sim.batch`: whole
@@ -51,8 +57,9 @@ class CacheArray:
         self.num_sets = spec.num_sets
         self.ways = spec.associativity
         self.line_bytes = spec.line_bytes
-        # Per set: list of (line_addr, dirty) in LRU order (front = LRU).
-        self._sets: List[List[Tuple[int, bool]]] = [[] for _ in range(self.num_sets)]
+        # Per set: line_addr -> dirty, in insertion order from LRU (first
+        # key) to MRU (last key); touching a line pops and reinserts it.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         # Sorted resident-line snapshot for probe_batch; None = stale.
         # Only fill/invalidate change membership (hits merely reorder),
         # so all-hit phases reuse one snapshot across many batches.
@@ -84,8 +91,7 @@ class CacheArray:
 
     def probe(self, line_addr: int) -> bool:
         """Is the line present? (No LRU update — use :meth:`access`.)"""
-        idx = self._set_index(line_addr)
-        return any(tag == line_addr for tag, _ in self._sets[idx])
+        return line_addr in self._sets[self._set_index(line_addr)]
 
     def access(self, line_addr: int, *, write: bool = False) -> bool:
         """Look up a line; on hit, update LRU (and dirty bit for writes).
@@ -96,12 +102,11 @@ class CacheArray:
         if self._pending:
             self.flush_batch()
         ways = self._sets[(line_addr // self.line_bytes) % self.num_sets]
-        for i, (tag, dirty) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                ways.append((line_addr, dirty or write))
-                return True
-        return False
+        dirty = ways.pop(line_addr, None)
+        if dirty is None:
+            return False
+        ways[line_addr] = dirty or write
+        return True
 
     def fill(self, line_addr: int, *, dirty: bool = False) -> Optional[int]:
         """Install a line; returns the evicted *dirty* line address, if any.
@@ -111,23 +116,21 @@ class CacheArray:
         """
         if self._pending:
             self.flush_batch()
-        idx = self._set_index(line_addr)
-        ways = self._sets[idx]
-        for i, (tag, was_dirty) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                ways.append((line_addr, was_dirty or dirty))
-                return None
+        ways = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        was_dirty = ways.pop(line_addr, None)
+        if was_dirty is not None:
+            ways[line_addr] = was_dirty or dirty
+            return None
         self.fills += 1
         self._resident_cache = None
         victim_writeback: Optional[int] = None
         if len(ways) >= self.ways:
-            victim_addr, victim_dirty = ways.pop(0)
+            victim_addr = next(iter(ways))
             self.evictions += 1
-            if victim_dirty:
+            if ways.pop(victim_addr):
                 self.dirty_evictions += 1
                 victim_writeback = victim_addr
-        ways.append((line_addr, dirty))
+        ways[line_addr] = dirty
         return victim_writeback
 
     # -- vectorized probe surface (batch-stepping fast path) -------------------
@@ -149,7 +152,7 @@ class CacheArray:
         """
         table = self._resident_cache
         if table is None:
-            resident = [tag for ways in self._sets for tag, _ in ways]
+            resident = [tag for ways in self._sets for tag in ways]
             table = np.sort(np.asarray(resident, dtype=np.uint64))
             self._resident_cache = table
         if not len(table):
@@ -214,30 +217,22 @@ class CacheArray:
         written = (
             set(line_addrs[writes].tolist()) if writes.any() else frozenset()
         )
-        touched = set(last_order)
         per_set: Dict[int, List[int]] = {}
         set_indices = (last_order_arr // self.line_bytes % self.num_sets).tolist()
         for set_idx, line in zip(set_indices, last_order):
             per_set.setdefault(set_idx, []).append(line)
         for set_idx, lines_in_set in per_set.items():
             ways = self._sets[set_idx]
-            old_dirty: Dict[int, bool] = {}
-            kept: List[Tuple[int, bool]] = []
-            for tag, dirty in ways:
-                if tag in touched:
-                    old_dirty[tag] = dirty
-                else:
-                    kept.append((tag, dirty))
-            if len(old_dirty) != len(lines_in_set):
-                missing = [hex(li) for li in lines_in_set if li not in old_dirty]
+            missing = [hex(li) for li in lines_in_set if li not in ways]
+            if missing:
                 raise SimulationError(
                     f"{self.name}: touch_batch on non-resident line(s) "
                     f"{', '.join(missing)}"
                 )
-            kept.extend(
-                (line, old_dirty[line] or line in written) for line in lines_in_set
-            )
-            self._sets[set_idx] = kept
+            # Reinserting in last-touch order leaves the untouched lines
+            # at the LRU end in their old relative order.
+            for line in lines_in_set:
+                ways[line] = ways.pop(line) or line in written
         if self._sanitizer is not None:
             self._sanitizer.on_flush()
 
@@ -245,15 +240,22 @@ class CacheArray:
         """Drop a line if present; returns whether it was present."""
         if self._pending:
             self.flush_batch()
-        idx = self._set_index(line_addr)
-        ways = self._sets[idx]
-        for i, (tag, _) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                self._resident_cache = None
-                return True
-        return False
+        ways = self._sets[self._set_index(line_addr)]
+        if line_addr not in ways:
+            return False
+        del ways[line_addr]
+        self._resident_cache = None
+        return True
 
     def resident_lines(self) -> int:
         """Total lines currently resident (for tests)."""
         return sum(len(ways) for ways in self._sets)
+
+    def lru_state(self) -> List[List[Tuple[int, bool]]]:
+        """Per-set ``[(line_addr, dirty), ...]`` from LRU to MRU.
+
+        The order-sensitive snapshot for comparing two arrays: ``dict``
+        equality on the sets themselves would ignore LRU order.  Runs
+        queued by :meth:`touch_batch` are not in it until replayed.
+        """
+        return [list(ways.items()) for ways in self._sets]

@@ -112,13 +112,24 @@ class MemoryController:
 
     # -- utilization estimate ----------------------------------------------------
 
-    def _note_admission(self, now_ns: float, nbytes: int) -> None:
-        self._recent.append((now_ns, nbytes))
-        self._recent_bytes += nbytes
+    def _note_admission(self, now_ns: float, nbytes: int) -> float:
+        """Record an admission; return :meth:`utilization` right after it.
+
+        One pass over the window serves both: the trim that
+        :meth:`utilization` would repeat at the same ``now_ns`` finds
+        nothing left to drop.
+        """
+        recent = self._recent
+        recent.append((now_ns, nbytes))
+        recent_bytes = self._recent_bytes + nbytes
         cutoff = now_ns - self.window_ns
-        while self._recent and self._recent[0][0] < cutoff:
-            _, old = self._recent.popleft()
-            self._recent_bytes -= old
+        while recent and recent[0][0] < cutoff:
+            recent_bytes -= recent.popleft()[1]
+        self._recent_bytes = recent_bytes
+        if not recent:
+            return 0.0
+        rate = recent_bytes / ns(self.window_ns)
+        return min(1.0, rate / self.peak_bw_bytes)
 
     def utilization(self, now_ns: float) -> float:
         """Recent-bytes utilization of theoretical peak, in [0, 1]."""
@@ -171,9 +182,8 @@ class MemoryController:
             on_complete = _audited_complete
 
         def _admit() -> None:
-            t = self.engine.now
-            self._note_admission(t, self.line_bytes)
-            latency = self.latency_model.latency_ns(self.utilization(t))
+            utilization = self._note_admission(self.engine.now, self.line_bytes)
+            latency = self.latency_model.latency_ns(utilization)
             if is_prefetch:
                 self.stats.prefetch_bytes += self.line_bytes
             elif is_write:

@@ -101,15 +101,16 @@ class MshrFile:
         self, now_ns: float, line_addr: int, *, is_prefetch: bool
     ) -> MshrEntry:
         """Allocate an MSHR; caller must have checked :attr:`is_full`."""
-        if line_addr in self.entries:
+        entries = self.entries
+        if line_addr in entries:
             raise SimulationError(
                 f"{self.name}: duplicate allocation for line {line_addr:#x}"
             )
-        if self.is_full:
+        if len(entries) >= self.capacity:
             raise SimulationError(f"{self.name}: allocate on full MSHR file")
         entry = MshrEntry(line_addr=line_addr, is_prefetch=is_prefetch, issued_ns=now_ns)
         self.tracker.add(now_ns, +1)
-        self.entries[line_addr] = entry
+        entries[line_addr] = entry
         self.allocations += 1
         if self._audit is not None:
             self._audit.enter(now_ns, line_addr)

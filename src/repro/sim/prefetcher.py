@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stream:
     """State of one detected (or training) stream."""
 

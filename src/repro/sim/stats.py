@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from ..errors import SimulationError
 from ..units import ns
 from typing import Any, Dict, List
 
@@ -48,7 +49,9 @@ class OccupancyTracker:
 
     Call :meth:`update` *before* changing the occupancy, passing the
     current time; the tracker integrates ``occupancy * dt`` between
-    updates.
+    updates.  :meth:`add` does both in one step.  A rejected call raises
+    :class:`~repro.errors.SimulationError` and leaves the tracker as it
+    was.
     """
 
     name: str
@@ -63,24 +66,37 @@ class OccupancyTracker:
         """Integrate occupancy up to ``now_ns``."""
         dt = now_ns - self.last_update_ns
         if dt < 0:
-            raise ValueError(f"{self.name}: time went backwards ({dt} ns)")
+            raise SimulationError(f"{self.name}: time went backwards ({dt} ns)")
         self.integral_ns += self.occupancy * dt
         if self.occupancy >= self.capacity:
             self.full_time_ns += dt
         self.last_update_ns = now_ns
 
     def add(self, now_ns: float, delta: int = 1) -> None:
-        """Change occupancy by ``delta`` at time ``now_ns``."""
-        self.update(now_ns)
-        self.occupancy += delta
-        if self.occupancy < 0:
-            raise ValueError(f"{self.name}: occupancy went negative")
-        if self.occupancy > self.capacity:
-            raise ValueError(
-                f"{self.name}: occupancy {self.occupancy} exceeds capacity "
-                f"{self.capacity}"
+        """Change occupancy by ``delta`` at time ``now_ns``.
+
+        Integrates up to ``now_ns`` exactly as :meth:`update` does, inline
+        because every MSHR allocate and release lands here.
+        """
+        dt = now_ns - self.last_update_ns
+        if dt < 0:
+            raise SimulationError(f"{self.name}: time went backwards ({dt} ns)")
+        occupancy = self.occupancy
+        after = occupancy + delta
+        if after < 0:
+            raise SimulationError(f"{self.name}: occupancy went negative")
+        capacity = self.capacity
+        if after > capacity:
+            raise SimulationError(
+                f"{self.name}: occupancy {after} exceeds capacity {capacity}"
             )
-        self.peak = max(self.peak, self.occupancy)
+        self.integral_ns += occupancy * dt
+        if occupancy >= capacity:
+            self.full_time_ns += dt
+        self.last_update_ns = now_ns
+        self.occupancy = after
+        if after > self.peak:
+            self.peak = after
 
     @property
     def is_full(self) -> bool:

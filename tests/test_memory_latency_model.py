@@ -1,6 +1,11 @@
 """Loaded-latency models: tabulated curves and the queueing form."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProfileDomainError, ProfileError
 from repro.machines import (
@@ -64,6 +69,90 @@ class TestTabulatedModel:
             lat = model.latency_ns(u)
             assert lat >= previous  # monotone under load
             previous = lat
+
+
+def _np_interp_reference(model, utilization):
+    """``latency_ns`` as ``np.interp`` over the control points computes it."""
+    u = min(utilization, 1.0)
+    utils = np.array([p[0] for p in model.points])
+    lats = np.array([p[1] for p in model.points])
+    value = float(np.interp(u, utils, lats))
+    return float(min(max(value, lats[0]), lats[-1]))
+
+
+#: Offsets that place a second control point within the constructor's
+#: 1e-9 merge distance of another (merged), or just outside it (kept).
+_NEAR_OFFSETS = (5e-324, 2.2e-16, 1e-12, 9.9e-10, 1.01e-9)
+
+
+@st.composite
+def _control_points(draw):
+    """Monotone point sets, with near-duplicates and wide latency ranges."""
+    utils = draw(
+        st.lists(
+            st.floats(0.0, 1.05, allow_nan=False),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        )
+    )
+    for base in draw(st.lists(st.sampled_from(utils), max_size=3)):
+        near = base + draw(st.sampled_from(_NEAR_OFFSETS))
+        if near <= 1.05 and near not in utils:
+            utils.append(near)
+    # Latencies up to 1e308 make some slopes overflow to inf.
+    lats = draw(
+        st.lists(
+            st.floats(1e-3, 1e308, allow_nan=False),
+            min_size=len(utils),
+            max_size=len(utils),
+        )
+    )
+    return list(zip(sorted(utils), sorted(lats)))
+
+
+class TestInterpolationParity:
+    """``latency_ns`` is bit-identical to ``np.interp`` plus the clamp."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.one_of(
+            _control_points(),
+            st.sampled_from(
+                [
+                    SKL_LATENCY_CALIBRATION,
+                    KNL_LATENCY_CALIBRATION,
+                    A64FX_LATENCY_CALIBRATION,
+                ]
+            ),
+        ),
+        anywhere=st.lists(st.floats(0.0, 1.05), max_size=8),
+        clamped=st.lists(
+            st.floats(1.0, 1.05, exclude_min=True), min_size=1, max_size=4
+        ),
+    )
+    def test_bit_identical_to_np_interp(self, points, anywhere, clamped):
+        try:
+            model = TabulatedLatencyModel(points)
+        except ProfileError:
+            assume(False)
+        queries = anywhere + clamped
+        for u, _ in model.points:
+            queries += [u, math.nextafter(u, -math.inf), math.nextafter(u, math.inf)]
+        for u in queries:
+            if not 0.0 <= u <= 1.05:
+                continue
+            got = model.latency_ns(u)
+            assert got.hex() == _np_interp_reference(model, u).hex(), u
+
+    @pytest.mark.parametrize(
+        "utilization",
+        [math.nan, math.inf, -math.inf, -1e-300, math.nextafter(1.05, 2.0)],
+    )
+    def test_out_of_domain_rejected(self, utilization):
+        model = TabulatedLatencyModel(KNL_LATENCY_CALIBRATION)
+        with pytest.raises(ProfileDomainError):
+            model.latency_ns(utilization)
 
 
 class TestPaperLatencyPoints:

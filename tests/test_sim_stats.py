@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import OccupancyTracker, SimStats
 from repro.sim.stats import CoreStats, LevelStats, MemoryStats
 
@@ -17,19 +18,45 @@ class TestOccupancyTracker:
 
     def test_negative_occupancy_rejected(self):
         tracker = OccupancyTracker("t", capacity=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             tracker.add(0.0, -1)
 
     def test_over_capacity_rejected(self):
         tracker = OccupancyTracker("t", capacity=1)
         tracker.add(0.0, +1)
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             tracker.add(1.0, +1)
+
+    @pytest.mark.parametrize(
+        "now_ns, delta", [(5.0, +1), (20.0, +2), (20.0, -2)],
+        ids=["time-backwards", "over-capacity", "negative"],
+    )
+    def test_rejected_add_leaves_tracker_unchanged(self, now_ns, delta):
+        tracker = OccupancyTracker("t", capacity=2)
+        tracker.add(0.0, +1)
+        tracker.add(10.0, 0)
+        before = (
+            tracker.occupancy,
+            tracker.integral_ns,
+            tracker.last_update_ns,
+            tracker.peak,
+            tracker.full_time_ns,
+        )
+        with pytest.raises(SimulationError):
+            tracker.add(now_ns, delta)
+        after = (
+            tracker.occupancy,
+            tracker.integral_ns,
+            tracker.last_update_ns,
+            tracker.peak,
+            tracker.full_time_ns,
+        )
+        assert after == before
 
     def test_time_backwards_rejected(self):
         tracker = OccupancyTracker("t", capacity=4)
         tracker.update(10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             tracker.update(5.0)
 
     def test_average_of_empty_window(self):
