@@ -3,12 +3,13 @@
 Guards the headline claim of the ``--fast`` mode: a calibrated analytic
 characterize — the profile *plus* the operating-point solves for every
 paper workload — must answer at least :data:`FAST_SPEEDUP_FLOOR` times
-faster than the uncached event-engine X-Mem sweep it replaces.  The
-measured trajectory is recorded in ``BENCH_analytic_speedup.json`` by
-``benchmarks/record_trajectory.py``.
+faster than the uncached event-engine X-Mem sweep it replaces.
 
-``REPRO_BENCH_FLOOR`` overrides the speedup floor (for slow or heavily
-shared CI hosts).
+This is a unit gate on one kernel, not evidence of a speedup a user
+sees.  The end-to-end measurement of the analytic route is perfbench's
+``cli_warm`` workload (``analyze --fast``, ``advisor --fast`` and
+``characterize --fast`` in fresh processes), whose medians
+``benchmarks/record_trajectory.py`` appends to ``BENCH_e2e.json``.
 """
 
 import os
@@ -28,7 +29,7 @@ from repro.xmem.runner import XMemConfig, XMemRunner
 
 #: Acceptance bar: analytic --fast must beat the event engine by at
 #: least this factor.  Real measurements land around 5000x.
-FAST_SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_FLOOR", "100"))
+FAST_SPEEDUP_FLOOR = 100.0
 
 MACHINE = "skl"
 SWEEP = XMemConfig(levels=6, accesses_per_thread=1500)

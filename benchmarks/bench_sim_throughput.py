@@ -6,12 +6,7 @@ an events/sec drop long before it is visible in the paper tables.
 Also times the ``repro.perf`` layer itself: a warm content-addressed
 cache must beat re-simulation by a wide margin, and the batch-stepping
 fast path must beat the pure event engine on hit-heavy work.
-
-``REPRO_BENCH_FLOOR`` overrides the events/sec floor (for slow or
-heavily shared CI hosts).
 """
-
-import os
 
 import pytest
 
@@ -27,7 +22,7 @@ ACCESSES = 4000
 
 #: Loose events/sec floor — well below healthy rates (~300k+ on an idle
 #: host), but high enough to catch pathological event-loop slowdowns.
-EVENTS_PER_SEC_FLOOR = int(os.environ.get("REPRO_BENCH_FLOOR", "30000"))
+EVENTS_PER_SEC_FLOOR = 30000
 
 #: The batch-stepping acceptance bar: accesses/sec on the L1-resident
 #: workload must improve by at least this factor over the event engine.

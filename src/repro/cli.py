@@ -13,7 +13,7 @@ Commands mirror the paper's workflow:
 * ``repro figure2`` — the extended-roofline experiment;
 * ``repro recipe-score`` — Figure 1 aggregate accuracy;
 * ``repro trace export/import`` — write a generated trace to an
-  mmap-able ``.npz`` file / read one back and summarize it (feed it to
+  ``.npz`` file / read one back and summarize it (feed it to
   ``repro simulate --trace FILE``);
 * ``repro advisor --workload isx --machine skl [--fast]`` — run the
   Figure-1 recipe loop to convergence (``--fast`` answers from the
@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from .core.analyzer import RoutineAnalyzer
 from .core.classify import AccessPattern, Classification
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .machines.registry import get_machine, machine_names, paper_machines
 from .units import ns_to_us, to_gb_per_s
 from .xmem.runner import XMemConfig, characterize_machine
@@ -218,7 +218,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
 
     machine = get_machine(args.machine)
-    text = Path(args.file).read_text()
+    try:
+        text = Path(args.file).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {args.file} as text: {exc}") from None
     if args.format == "csv":
         if args.lenient:
             from .core.report import render_data_quality
@@ -759,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_trace = sub.add_parser(
-        "trace", help="export/import on-disk (mmap-able) trace files"
+        "trace", help="export/import on-disk trace files"
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_texp = trace_sub.add_parser(
@@ -779,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_texp.add_argument(
         "--compress",
         action="store_true",
-        help="smaller file; loads copy instead of memory-mapping",
+        help="write a smaller, compressed file",
     )
     p_texp.set_defaults(func=_cmd_trace_export)
     p_timp = trace_sub.add_parser(

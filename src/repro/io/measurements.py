@@ -32,7 +32,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.analyzer import AnalysisReport, RoutineAnalyzer
 from ..counters.events import CounterEvent, VENDOR_EVENTS
@@ -53,8 +53,8 @@ class RoutineMeasurement:
     prefetch_fraction: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes < 0:
-            raise ConfigurationError("bandwidth must be >= 0")
+        if not 0 <= self.bandwidth_bytes < math.inf:
+            raise ConfigurationError("bandwidth must be finite and >= 0")
         if not 0.0 <= self.prefetch_fraction <= 1.0:
             raise ConfigurationError("prefetch fraction must be in [0,1]")
 
@@ -92,6 +92,23 @@ def _parse_csv_row(
         raise ConfigurationError(f"line {line_num}: {exc}") from exc
 
 
+def _csv_rows(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """``(line number, cells)`` of every CSV row of ``text``.
+
+    Text the csv module cannot split (a field over its size limit, a
+    bare carriage return inside a field) raises
+    :class:`~repro.errors.ConfigurationError` naming the line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ConfigurationError(
+            f"line {reader.line_num}: malformed CSV: {exc}"
+        ) from None
+
+
 def from_csv(text: str) -> List[RoutineMeasurement]:
     """Parse ``routine,bandwidth_gbs,prefetch_fraction`` rows (strict).
 
@@ -99,17 +116,16 @@ def from_csv(text: str) -> List[RoutineMeasurement]:
     any data row) and skipped.  Blank lines and ``#`` comments are
     ignored.  Any other malformed row aborts with a
     :class:`~repro.errors.ConfigurationError` naming the 1-based line
-    number and the offending cell; use :func:`from_csv_degraded` to
-    survive bad rows instead.
+    number and the offending cell, as does text the csv module cannot
+    split; use :func:`from_csv_degraded` to survive bad rows instead.
     """
     measurements: List[RoutineMeasurement] = []
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
+    for line_num, row in _csv_rows(text):
         if not row or row[0].lstrip().startswith("#"):
             continue
         if not measurements and len(row) >= 3 and not _is_number(row[1]):
             continue  # header row
-        measurements.append(_parse_csv_row(row, reader.line_num))
+        measurements.append(_parse_csv_row(row, line_num))
     if not measurements:
         raise ConfigurationError("no measurement rows found")
     return measurements
@@ -137,22 +153,21 @@ def from_csv_degraded(
     keyed by line number, so the path stays exercised.
 
     Raises only when *no* row survives — an all-bad input is a
-    configuration problem, not a data-quality one.
+    configuration problem, not a data-quality one — or when the text
+    is not CSV at all (see :func:`from_csv`).
     """
     from ..resilience.faults import get_injector
 
     injector = get_injector()
     measurements: List[RoutineMeasurement] = []
     issues: List[DataQualityIssue] = []
-    reader = csv.reader(io.StringIO(text))
     saw_data = False
-    for row in reader:
+    for line_num, row in _csv_rows(text):
         if not row or row[0].lstrip().startswith("#"):
             continue
         if not saw_data and len(row) >= 3 and not _is_number(row[1]):
             continue  # header row
         saw_data = True
-        line_num = reader.line_num
         location = f"line {line_num}"
         if injector.active and injector.drops_sample(f"csv:{line_num}"):
             issues.append(

@@ -1,4 +1,4 @@
-"""On-disk trace files: ``.npz`` containers that load back memory-mapped.
+"""On-disk trace files: columnar traces in numpy ``.npz`` containers.
 
 A trace file is a standard (uncompressed by default) numpy ``.npz``
 archive holding, per thread, the three canonical columnar arrays plus a
@@ -11,15 +11,8 @@ JSON ``meta`` member::
     t0_gap    <f8   thread 0 gap cycles
     t1_addr   ...
 
-Because the members of an *uncompressed* zip are stored verbatim, each
-array's bytes sit contiguously in the file and can be ``np.memmap``-ed
-in place: :func:`load_trace` locates every member through the zip local
-headers and maps it read-only, so importing a multi-gigabyte trace
-costs no read I/O up front and shares pages between processes.
-(``np.load(..., mmap_mode=...)`` silently ignores the request for
-``.npz`` — hence the explicit offset work here.)  Compressed files and
-anything else the fast path cannot handle fall back to a plain
-``np.load`` copy, with identical results.
+Compressed and uncompressed files load the same way, through
+``np.load``.
 
 The ``meta`` digest is :func:`repro.sim.coltrace.trace_digest` of the
 saved trace, so :func:`load_trace` verifies end-to-end integrity by
@@ -47,9 +40,6 @@ TRACE_FILE_FORMAT = "repro-trace-npz"
 #: Bump on any layout change.
 TRACE_FILE_VERSION = 1
 
-#: Size of a zip local file header before the variable-length fields.
-_ZIP_LOCAL_HEADER_BYTES = 30
-
 #: What zipfile and numpy's npy-header parser raise on a truncated or
 #: damaged archive; load_trace reports each as a TraceError.
 _UNREADABLE = (
@@ -75,8 +65,7 @@ def save_trace(
 ) -> Dict[str, Any]:
     """Write ``trace`` to ``path`` as a trace file; returns its metadata.
 
-    ``compress`` trades the mmap fast path on load for a smaller file
-    (loads still work — through the ``np.load`` fallback).
+    ``compress`` writes a smaller file that is slower to save and load.
 
     The write is atomic (temp file + rename via
     :func:`repro.io.atomic.atomic_writer`): a crash mid-save leaves the
@@ -122,78 +111,26 @@ def save_trace(
     return meta
 
 
-def _mmap_members(path: Path) -> Dict[str, np.ndarray]:
-    """Map every array member of an uncompressed npz without copying.
-
-    Walks the zip local headers (the central directory's offsets point
-    at them; the data starts after the header's variable-length name and
-    extra fields), reads each member's npy header, and memmaps the
-    payload in place.  Raises TraceError for anything but stored
-    (uncompressed) members — callers fall back to ``np.load``.
-    """
-    out: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise TraceError(f"member {info.filename} is compressed")
-            raw.seek(info.header_offset)
-            header = raw.read(_ZIP_LOCAL_HEADER_BYTES)
-            if len(header) != _ZIP_LOCAL_HEADER_BYTES or header[:4] != b"PK\x03\x04":
-                raise TraceError(f"bad local header for {info.filename}")
-            name_len = int.from_bytes(header[26:28], "little")
-            extra_len = int.from_bytes(header[28:30], "little")
-            raw.seek(info.header_offset + _ZIP_LOCAL_HEADER_BYTES + name_len + extra_len)
-            version = np.lib.format.read_magic(raw)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-            else:
-                raise TraceError(f"unsupported npy version {version}")
-            if fortran:
-                raise TraceError("fortran-order member")
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[: -len(".npy")]
-            count = int(np.prod(shape)) if shape else 1
-            if count == 0:
-                out[name] = np.empty(shape, dtype=dtype)
-                continue
-            out[name] = np.memmap(
-                path, dtype=dtype, mode="r", offset=raw.tell(), shape=shape
-            )
-    return out
-
-
 def load_trace(
     path: Union[str, Path],
     *,
-    mmap: bool = True,
     verify: bool = True,
 ) -> ColumnarTrace:
     """Read a trace file back as a :class:`ColumnarTrace`.
 
-    With ``mmap`` (the default) the arrays of an uncompressed file are
-    memory-mapped read-only straight out of the archive; otherwise (or
-    whenever mapping is not possible) they are loaded as copies.  With
-    ``verify`` the content digest recorded at save time is recomputed
-    and must match, else :class:`~repro.errors.TraceError`.
+    With ``verify`` (the default) the content digest recorded at save
+    time is recomputed and must match, else
+    :class:`~repro.errors.TraceError`.
     """
     path = Path(path)
-    members: Dict[str, np.ndarray]
-    if mmap:
-        try:
-            members = _mmap_members(path)
-        except (TraceError, *_UNREADABLE):
-            members = {}
-    else:
-        members = {}
-    if not members:
-        try:
-            with np.load(path) as archive:
-                members = {name: archive[name] for name in archive.files}
-        except _UNREADABLE as exc:
-            raise TraceError(f"cannot read trace file {path}: {exc}") from None
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TraceError(f"{path} is not a repro trace file (not an .npz archive)")
+        with archive:
+            members = {name: archive[name] for name in archive.files}
+    except _UNREADABLE as exc:
+        raise TraceError(f"cannot read trace file {path}: {exc}") from None
 
     if "meta" not in members:
         raise TraceError(f"{path} is not a repro trace file (no meta member)")

@@ -26,9 +26,7 @@ Fault tolerance (PR 4) extends the contract with per-item semantics:
   pool is torn down, and every *unfinished* item is resubmitted to a
   fresh pool — only the timed-out item is charged an attempt;
 * **partial results** — :func:`fan_out_outcomes` reports a per-item
-  :class:`Ok`/:class:`Err` instead of raising, and
-  :func:`fan_out`'s ``on_error="skip"`` keeps a sweep alive past
-  permanently failing items;
+  :class:`Ok`/:class:`Err` instead of raising;
 * a :class:`~concurrent.futures.process.BrokenProcessPool` (worker
   killed by the OS, OOM, or the ``worker_kill`` fault injector) never
   loses completed work: finished results are kept and only unfinished
@@ -84,12 +82,6 @@ MAX_RETRIES = 64
 #: pool, timeout), even with ``retries=0``: a killed worker says nothing
 #: about the item it happened to be running.
 INFRA_RETRIES = 2
-
-_ON_ERROR_MODES = ("raise", "skip", "retry")
-
-#: Default retry budget implied by ``on_error="retry"`` when the caller
-#: did not size one explicitly.
-_ON_ERROR_RETRY_DEFAULT = 2
 
 
 def _from_env(name: str, parse: Callable[[str], T], kind: str, default: T) -> T:
@@ -195,7 +187,7 @@ class Err:
         return False
 
     def reraise(self) -> None:
-        """Raise the terminal failure the way ``on_error="raise"`` does.
+        """Raise the terminal failure the way :func:`fan_out` does.
 
         An item whose ``func`` raised once re-raises the original
         exception unchanged (bit-compatible with a plain loop), however
@@ -561,41 +553,24 @@ def fan_out(
     jobs: Optional[int] = None,
     retries: Optional[int] = None,
     timeout_s: Optional[float] = None,
-    on_error: str = "raise",
 ) -> List[R]:
     """Apply ``func`` to every item, preserving item order in the result.
 
-    ``on_error`` selects the partial-result policy once an item's retry
-    budget is exhausted:
-
-    * ``"raise"`` (default) — the first failing item's terminal
-      exception propagates: unchanged original exception when ``func``
-      raised once, :class:`~repro.errors.RetryExhausted` (with the
-      original chained) when retries were consumed;
-    * ``"retry"`` — like ``"raise"`` but implies a retry budget of
-      ``2`` when ``retries`` was not given;
-    * ``"skip"`` — failed items are dropped from the result (use
-      :func:`fan_out_outcomes` to know which).
+    Once an item's retry budget is exhausted, the first failing item's
+    terminal exception propagates: the unchanged original exception
+    when ``func`` raised once, :class:`~repro.errors.RetryExhausted`
+    (with the original chained) when retries were consumed.  Use
+    :func:`fan_out_outcomes` to keep partial results instead.
 
     With ``jobs > 1`` both ``func`` and the items must be picklable;
     pool start-up failures degrade to serial execution.
     """
-    if on_error not in _ON_ERROR_MODES:
-        raise ConfigurationError(
-            f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
-        )
-    resolved_retries = resolve_retries(retries)
-    if on_error == "retry" and retries is None and resolved_retries == 0:
-        resolved_retries = _ON_ERROR_RETRY_DEFAULT
     outcomes = fan_out_outcomes(
-        func, items, jobs=jobs, retries=resolved_retries, timeout_s=timeout_s
+        func, items, jobs=jobs, retries=retries, timeout_s=timeout_s
     )
     results: List[R] = []
     for outcome in outcomes:
-        if isinstance(outcome, Ok):
-            results.append(outcome.value)
-        elif on_error == "skip":
-            continue
-        else:
+        if not isinstance(outcome, Ok):
             outcome.reraise()
+        results.append(outcome.value)
     return results

@@ -14,6 +14,14 @@ class TestIngest:
         assert "count_local_keys" in out
         assert "STOP" in out
 
+    @pytest.mark.parametrize("content", [b"count_local_keys,\xff106.9,0.05\n", None])
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "m.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["ingest", "--machine", "skl", "--file", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_perf_ingestion(self, capsys, tmp_path):
         path = tmp_path / "perf.txt"
         path.write_text(

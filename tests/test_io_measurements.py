@@ -1,12 +1,17 @@
 """Measurement ingestion: CSV and perf-style parsing into analyses."""
 
-import pytest
+import math
 
-from repro.errors import ConfigurationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigurationError, ReproError
 from repro.io import (
     RoutineMeasurement,
     analyze_measurements,
     from_csv,
+    from_csv_degraded,
     from_perf_output,
 )
 
@@ -214,3 +219,66 @@ class TestCsvDegraded:
                 from_csv_degraded("a,50.0,0.5\n")
         finally:
             configure_faults(None)
+
+
+_CSV_ALPHABET = "0123456789.,+-eEinfaNx#\"' \t\r\n\x00"
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.text(alphabet=_CSV_ALPHABET, max_size=8),
+)
+_CSV_TEXT = st.one_of(
+    # Any byte string, each byte read as one character.
+    st.binary(max_size=400).map(lambda b: b.decode("latin-1")),
+    st.text(alphabet=_CSV_ALPHABET, max_size=200),
+    st.lists(
+        st.one_of(
+            st.lists(_CELL, max_size=4).map(",".join),
+            # A routine, a bandwidth and an in-range prefetch fraction.
+            st.tuples(
+                _CELL,
+                st.one_of(st.floats(min_value=0.0).map(repr), _CELL),
+                st.floats(0.0, 1.0).map(repr),
+            ).map(",".join),
+        ),
+        max_size=6,
+    ).map("\n".join),
+)
+
+
+class TestHostileCsv:
+    """CSV from outside either loads sane rows or raises a typed error."""
+
+    @given(text=_CSV_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_loads_or_raises_typed_error(self, text):
+        for parse in (from_csv, lambda t: from_csv_degraded(t)[0]):
+            try:
+                rows = parse(text)
+            except ReproError:
+                continue
+            assert rows
+            for row in rows:
+                assert math.isfinite(row.bandwidth_bytes)
+                assert row.bandwidth_bytes >= 0
+                assert 0.0 <= row.prefetch_fraction <= 1.0
+
+    @pytest.mark.parametrize("parse", [from_csv, from_csv_degraded])
+    def test_oversized_field_is_configuration_error(self, parse):
+        text = "r," + "9" * 200_000 + ",0.5\n"
+        with pytest.raises(ConfigurationError, match="line 1: malformed CSV"):
+            parse(text)
+
+    @pytest.mark.parametrize("parse", [from_csv, from_csv_degraded])
+    def test_bare_carriage_return_is_configuration_error(self, parse):
+        with pytest.raises(ConfigurationError, match="malformed CSV"):
+            parse("r,1,0.5\r\rq")
+
+    def test_infinite_bandwidth_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            from_csv("r,1e400,0.5\n")
+        # Finite in GB/s, but past the float range in bytes/s.
+        with pytest.raises(ConfigurationError, match="line 1: .*finite"):
+            from_csv("r,1.7e300,0.5\n")
+        rows, issues = from_csv_degraded("r,inf,0.5\ns,1,0.5\n")
+        assert [r.routine for r in rows] == ["s"]
+        assert [i.kind for i in issues] == ["bad-cell"]

@@ -257,21 +257,6 @@ class TestRetrySemantics:
         assert not outcome.ok
         assert func.calls == 2
 
-    def test_on_error_skip_keeps_partial_results(self):
-        out = fan_out(_fail_on_three, [1, 2, 3, 4], jobs=1, on_error="skip")
-        assert out == [1, 2, 4]
-
-    def test_on_error_retry_implies_budget_then_raises(self):
-        with pytest.raises(RetryExhausted, match="_fail_on_three"):
-            fan_out(_fail_on_three, [3], jobs=1, on_error="retry")
-
-    def test_on_error_retry_recovers_transients(self):
-        assert fan_out(_FailNTimes(2), [7], jobs=1, on_error="retry") == [7]
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ConfigurationError, match="on_error"):
-            fan_out(_square, [1], jobs=1, on_error="explode")
-
 
 def _find_fault_seed(kind, label, n_items, p, max_attempts):
     """A seed where some first attempt fires but recovery is guaranteed.

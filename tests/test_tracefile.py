@@ -1,4 +1,4 @@
-"""On-disk trace files: round trips, the mmap fast path, and integrity."""
+"""On-disk trace files: round trips, read-only loads, and integrity."""
 
 import json
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.io import TRACE_FILE_FORMAT, load_trace, save_trace
-from repro.io.tracefile import TRACE_FILE_VERSION, _mmap_members
+from repro.io.tracefile import TRACE_FILE_VERSION
 from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
 from repro.sim.trace import Access, AccessKind
 
@@ -63,23 +63,11 @@ class TestRoundTrip:
         trace = _fixture_trace()
         path = tmp_path / "t.trace"
         save_trace(path, trace, compress=True)
-        with pytest.raises(TraceError):
-            _mmap_members(path)  # compressed members defeat the fast path
         assert load_trace(path) == trace
 
 
 class TestMmapFastPath:
-    def test_members_are_memory_mapped(self, tmp_path):
-        path = tmp_path / "t.trace"
-        save_trace(path, _fixture_trace())
-        members = _mmap_members(path)
-        arrays = [a for name, a in members.items() if name != "meta"]
-        assert arrays and all(isinstance(a, np.memmap) for a in arrays)
-
-    def test_mmap_and_copy_loads_agree(self, tmp_path):
-        path = tmp_path / "t.trace"
-        save_trace(path, _fixture_trace())
-        assert load_trace(path, mmap=True) == load_trace(path, mmap=False)
+    """Loaded arrays are read-only."""
 
     def test_loaded_arrays_read_only(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -93,11 +81,12 @@ class TestIntegrity:
     def test_corrupted_payload_detected(self, tmp_path):
         path = tmp_path / "t.trace"
         save_trace(path, _fixture_trace())
-        # Flip a byte inside the first address array's payload (the
-        # memmap offset locates it exactly).
-        offset = _mmap_members(path)["t0_addr"].offset
+        # Flip a byte inside the first address array's payload (stored
+        # verbatim in an uncompressed archive).
         data = bytearray(path.read_bytes())
-        data[offset] ^= 0xFF
+        offset = data.find(_fixture_trace().threads[0].addr.tobytes())
+        assert offset > 0
+        data[offset + 8] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(TraceError):
             load_trace(path)
@@ -106,6 +95,12 @@ class TestIntegrity:
         path = tmp_path / "plain.npz"
         np.savez(path, x=np.arange(3))
         with pytest.raises(TraceError, match="meta"):
+            load_trace(path)
+
+    def test_bare_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "array.npy"
+        np.save(path, np.arange(3))
+        with pytest.raises(TraceError, match="not an .npz archive"):
             load_trace(path)
 
     def test_garbage_file_rejected(self, tmp_path):
@@ -199,11 +194,10 @@ class TestMalformedMetadata:
         blob = path.read_bytes()
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
         path.write_bytes(blob[:cut])
-        for mmap in (True, False):
-            try:
-                load_trace(path, mmap=mmap)
-            except TraceError:
-                pass
+        try:
+            load_trace(path)
+        except TraceError:
+            pass
 
     @given(data=st.data())
     @settings(
@@ -218,8 +212,7 @@ class TestMalformedMetadata:
         pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
         blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
         path.write_bytes(bytes(blob))
-        for mmap in (True, False):
-            try:
-                load_trace(path, mmap=mmap)
-            except TraceError:
-                pass
+        try:
+            load_trace(path)
+        except TraceError:
+            pass
