@@ -206,7 +206,7 @@ def from_csv_degraded(
     return measurements, issues
 
 
-_PLAIN_LINE = re.compile(r"^\s*([\d,.]+)\s+(\S+)")
+_PLAIN_LINE = re.compile(r"^\s*([-+]?[\d,.]+)\s+(\S+)")
 
 
 def _parse_event_counts(text: str) -> Dict[str, float]:
@@ -214,10 +214,13 @@ def _parse_event_counts(text: str) -> Dict[str, float]:
 
     Handles both ``perf stat -x,`` CSV (``count,unit,event,...``) and
     the aligned human-readable format (``  1,234,567  EVENT_NAME``).
-    Lines that don't parse are skipped.
+    Lines that don't parse are skipped; a count that parses but is
+    negative or non-finite raises :class:`~repro.errors.ConfigurationError`
+    naming the event and line (perf never prints one, and summed with
+    the event's other lines it would cancel real traffic).
     """
     counts: Dict[str, float] = {}
-    for line in text.splitlines():
+    for line_num, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -239,7 +242,13 @@ def _parse_event_counts(text: str) -> Dict[str, float]:
             value = float(raw.replace(",", ""))
         except ValueError:
             continue
-        counts[event.strip()] = counts.get(event.strip(), 0.0) + value
+        event = event.strip()
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(
+                f"line {line_num}: event {event!r} has count {raw.strip()!r}; "
+                "counts must be finite and >= 0"
+            )
+        counts[event] = counts.get(event, 0.0) + value
     return counts
 
 
@@ -263,8 +272,10 @@ def from_perf_output(
     Event names are matched against the machine vendor's native
     spellings; ``*``-suffixed catalog names match as prefixes.
     """
-    if elapsed_seconds <= 0:
-        raise ConfigurationError("elapsed time must be positive")
+    if not 0 < elapsed_seconds < math.inf:
+        raise ConfigurationError(
+            f"elapsed time must be positive and finite, got {elapsed_seconds!r}"
+        )
     vendor = vendor_for_machine(machine.name)
     natives = VENDOR_EVENTS.get(vendor, ())
     counts = _parse_event_counts(text)

@@ -76,7 +76,10 @@ from ..sim.stats import SimStats
 #: entries lack the new stats fields and must not be replayed.
 #: v5: batched miss retirement removed — SimConfig lost ``batch_miss``,
 #: so the config payload (and every digest) changed shape.
-SCHEMA_VERSION = 5
+#: v6: TLB and shared-L3 models removed — SimConfig lost nine fields
+#: (the TLB/L3 knobs plus the hit latencies and prefetcher aggressiveness,
+#: now constants), so the config payload changed shape again.
+SCHEMA_VERSION = 6
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 

@@ -28,7 +28,6 @@ from .stats import (
     OccupancyTracker,
     SimStats,
 )
-from .tlb import Tlb, TlbStats
 from .trace import Access, AccessKind
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "StreamPrefetcher",
-    "Tlb",
-    "TlbStats",
     "columnar_trace",
     "concat_columns",
     "interleave_columns",

@@ -23,10 +23,10 @@ still disagree, see docs/PERFORMANCE.md):
 The caller (:meth:`repro.sim.core.ThreadDriver._try_batch`) is
 responsible for the *quiescence* preconditions that make the prefix
 provably interaction-free: no stall in progress, zero outstanding
-demand accesses, empty L1/L2 MSHR files, and no page walks in flight.
-Under those conditions nothing in the event queue can mutate the
-core's L1/TLB residency (or observe its issue state) while the run is
-in progress, so snapshot probes and aggregate LRU replay are exact.
+demand accesses, and empty L1/L2 MSHR files.  Under those conditions
+nothing in the event queue can mutate the core's L1 residency (or
+observe its issue state) while the run is in progress, so snapshot
+probes and aggregate LRU replay are exact.
 """
 
 from __future__ import annotations

@@ -82,7 +82,6 @@ class ThreadDriver:
         "_batch",
         "_skip_until",
         "_l1_hit_ns",
-        "_addr_arr",
         "_lines_arr",
         "_writes_arr",
         "_gap_arr",
@@ -117,13 +116,12 @@ class ThreadDriver:
         self._san = hierarchy.sanitizer
         if self._batch:
             core = hierarchy.cores[context.core_id]
-            self._addr_arr = addr_arr
             self._lines_arr = core.l1_array.line_of_batch(addr_arr)
             self._writes_arr = kind_arr == KIND_CODES[AccessKind.STORE]
             self._gap_arr = gap_arr
             self._gaps_ns_arr = gaps_ns_arr
         else:
-            self._addr_arr = self._lines_arr = self._writes_arr = None
+            self._lines_arr = self._writes_arr = None
             self._gap_arr = self._gaps_ns_arr = None
 
     def start(self) -> None:
@@ -201,27 +199,25 @@ class ThreadDriver:
         Returns the number of accesses retired (0 = conditions not met;
         the caller falls through to the per-event path).  Engagement
         requires a quiescent core — no stall in progress, zero
-        outstanding demand accesses, empty L1/L2 MSHR files, no page
-        walks in flight — so nothing in the event queue can mutate this
-        core's L1/TLB residency or observe its issue state mid-run; see
-        :mod:`repro.sim.batch` and docs/PERFORMANCE.md for the argument.
-        The run ends at the first access that is not a demand L1+TLB hit
-        or that the window check would stall; that access replays
-        through the event engine with exact state.
+        outstanding demand accesses, empty L1/L2 MSHR files — so nothing
+        in the event queue can mutate this core's L1 residency or
+        observe its issue state mid-run; see :mod:`repro.sim.batch` and
+        docs/PERFORMANCE.md for the argument.  The run ends at the first
+        access that is not a demand L1 hit or that the window check
+        would stall; that access replays through the event engine with
+        exact state.
         """
         ctx = self.ctx
         if ctx.waiting_window or ctx.waiting_mshr or ctx.in_flight != 0:
             return 0
         hierarchy = self.hierarchy
         core = hierarchy.cores[ctx.core_id]
-        if core.l1_mshr.entries or core.l2_mshr.entries or core.walks_in_flight:
+        if core.l1_mshr.entries or core.l2_mshr.entries:
             return 0
 
         stop = min(self._n, start + BATCH_LOOKAHEAD)
         lines = self._lines_arr[start:stop]
         ok = self._demand[start:stop] & core.l1_array.probe_batch(lines)
-        if core.tlb is not None:
-            ok &= core.tlb.probe_batch(self._addr_arr[start:stop])
         k = run_length(ok)
         if k < MIN_BATCH:
             self._skip_until = start + BATCH_BACKOFF
@@ -238,8 +234,6 @@ class ThreadDriver:
 
         end = start + k
         core.l1_array.touch_batch(lines[:k], self._writes_arr[start:end])
-        if core.tlb is not None:
-            core.tlb.touch_batch(self._addr_arr[start:end])
         stats = hierarchy.stats
         stats.l1.hits += k
         stats.batch_accesses += k

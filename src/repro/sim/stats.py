@@ -188,7 +188,9 @@ class SimStats:
     elapsed_ns: float = 0.0
     l1: LevelStats = field(default_factory=LevelStats)
     l2: LevelStats = field(default_factory=LevelStats)
-    #: Shared LLC statistics (all zero unless the L3 model is enabled).
+    #: Always zero: the simulated hierarchy has no shared L3.  Kept so
+    #: :meth:`fingerprint` and the recorded reference digests keep their
+    #: shape.
     l3: LevelStats = field(default_factory=LevelStats)
     memory: MemoryStats = field(default_factory=MemoryStats)
     cores: List[CoreStats] = field(default_factory=list)

@@ -7,10 +7,12 @@ on which the all-hit batch path is known to diverge, plus the
 :func:`~repro.sim.coltrace.trace_digest` of each executable mini-app's
 extracted trace on ``skl`` at the app defaults, plus the X-Mem
 :class:`~repro.memory.profile.LatencyProfile` points of the three paper
-machines at the default :class:`~repro.xmem.runner.XMemConfig`.  A
-golden changes only when the simulated physics (or a trace's content)
-does, so regeneration demands a stated reason, which belongs in the
-change log next to the new numbers::
+machines at the default :class:`~repro.xmem.runner.XMemConfig`, plus
+the Figure-1 recipe verdict of every case-study row
+(:func:`~repro.experiments.figure1.reproduce_figure1`).  A golden
+changes only when the simulated physics (or a trace's content, or a
+recipe verdict) does, so regeneration demands a stated reason, which
+belongs in the change log next to the new numbers::
 
     PYTHONPATH=src python tests/golden/regenerate.py --reason "<why>"
 """
@@ -81,7 +83,22 @@ def xmem_profile_points(machine_name: str) -> List[List[float]]:
     return [[p.bandwidth_bytes, p.latency_ns] for p in profile.points]
 
 
-def compute_goldens() -> Dict[str, Dict[str, Any]]:
+def figure1_verdicts() -> List[Dict[str, Any]]:
+    """Workload, step, expected benefit and agreement of each Figure-1 row."""
+    from repro.experiments.figure1 import reproduce_figure1
+
+    return [
+        {
+            "workload": row.workload,
+            "step": row.step,
+            "expected_benefit": row.expected_benefit,
+            "agrees": row.agrees,
+        }
+        for row in reproduce_figure1().traces
+    ]
+
+
+def compute_goldens() -> Dict[str, Any]:
     """Every pinned value, keyed by section then cell, app or machine."""
     cells = [f"{w}/{m}" for w in WORKLOADS for m in MACHINES]
     return {
@@ -91,6 +108,7 @@ def compute_goldens() -> Dict[str, Dict[str, Any]]:
         },
         "app_traces": {app: app_trace_digest(app) for app in APPS},
         "xmem_profiles": {m: xmem_profile_points(m) for m in MACHINES},
+        "figure1_verdicts": figure1_verdicts(),
     }
 
 

@@ -5,9 +5,11 @@ pin what the simulator produces, so a change that moves both paths the
 same way still fails.  The ``app_traces`` section pins the content of
 every executable mini-app's extracted trace the same way, and
 ``xmem_profiles`` the three paper machines' default X-Mem latency
-profiles (the paper's once-per-machine prerequisite).  Regenerate
-with ``tests/golden/regenerate.py`` (which demands a reason) only when
-the simulated physics, or a trace's content, is meant to change.
+profiles (the paper's once-per-machine prerequisite), and
+``figure1_verdicts`` the recipe's verdict on every Figure-1 row in
+order.  Regenerate with ``tests/golden/regenerate.py`` (which demands
+a reason) only when the simulated physics, a trace's content or a
+recipe verdict is meant to change.
 """
 
 import importlib.util
@@ -53,6 +55,10 @@ def test_app_trace_digest(app):
 def test_xmem_profile_points(machine):
     expected = GOLDENS["xmem_profiles"][machine]
     assert regenerate.xmem_profile_points(machine) == expected
+
+
+def test_figure1_verdicts():
+    assert regenerate.figure1_verdicts() == GOLDENS["figure1_verdicts"]
 
 
 def test_goldens_cover_the_paper_matrix():

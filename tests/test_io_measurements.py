@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.counters.events import VENDOR_EVENTS, CounterEvent
+from repro.counters.vendor import vendor_for_machine
 from repro.errors import ConfigurationError, ReproError
 from repro.io import (
     RoutineMeasurement,
@@ -14,6 +16,7 @@ from repro.io import (
     from_csv_degraded,
     from_perf_output,
 )
+from repro.machines import get_machine
 
 
 @pytest.fixture(autouse=True)
@@ -282,3 +285,124 @@ class TestHostileCsv:
         rows, issues = from_csv_degraded("r,inf,0.5\ns,1,0.5\n")
         assert [r.routine for r in rows] == ["s"]
         assert [i.kind for i in issues] == ["bad-cell"]
+
+
+_BANDWIDTH_KINDS = (
+    CounterEvent.MEM_READ_LINES,
+    CounterEvent.MEM_WRITE_LINES,
+    CounterEvent.HW_PREFETCH_LINES,
+)
+
+
+def _bandwidth_natives(machine_name):
+    vendor = vendor_for_machine(machine_name)
+    return [
+        n.native_name for n in VENDOR_EVENTS[vendor] if n.event in _BANDWIDTH_KINDS
+    ]
+
+
+_DECOY_EVENTS = ("INST_RETIRED.ANY", "CPU_CLK_UNHALTED.THREAD", "cycles")
+_COUNT = st.one_of(
+    st.integers(-(10**6), 10**15),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _perf_text(draw, machine_name):
+    """Perf-shaped lines plus free text, and the counts the parser reads.
+
+    Returns ``(text, counted)``: ``counted`` holds the value of every
+    generated line that certainly parses as a bandwidth-event count.
+    """
+    natives = _bandwidth_natives(machine_name)
+    events = st.sampled_from(natives + list(_DECOY_EVENTS))
+    lines, counted = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(("csv", "aligned", "text")))
+        if shape == "text":
+            lines.append(draw(st.text(alphabet=_CSV_ALPHABET, max_size=40)))
+            continue
+        count, event = draw(_COUNT), draw(events)
+        if shape == "csv":
+            lines.append(f"{count!r},,{event}")
+            value = float(count)
+        elif isinstance(count, int):
+            lines.append(f"  {count:,}      {event}")
+            value = float(count)
+        else:
+            lines.append(f"  {count!r}      {event}")
+            value = None
+        if event in natives and value is not None:
+            counted.append(value)
+    return "\n".join(lines), counted
+
+
+class TestHostilePerfOutput:
+    """perf stat output from outside loads sane counts or raises typed."""
+
+    @given(
+        data=st.data(),
+        machine_name=st.sampled_from(("skl", "knl", "a64fx")),
+        elapsed=st.one_of(
+            st.floats(1e-6, 1e6),
+            st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_perf_shaped_text_loads_or_raises_typed_error(
+        self, data, machine_name, elapsed
+    ):
+        machine = get_machine(machine_name)
+        text, counted = data.draw(_perf_text(machine_name))
+        try:
+            m = from_perf_output(text, machine, elapsed_seconds=elapsed)
+        except ReproError:
+            return
+        assert 0 < elapsed < math.inf
+        assert 0 <= m.bandwidth_bytes < math.inf
+        assert 0.0 <= m.prefetch_fraction <= 1.0
+        # Every counted line adds traffic; none may cancel another's.
+        assert all(0 <= v < math.inf for v in counted)
+        lines = m.bandwidth_bytes * elapsed / machine.line_bytes
+        assert lines >= max(counted, default=0.0) * (1 - 1e-9)
+
+    @given(
+        text=st.binary(max_size=400).map(lambda b: b.decode("latin-1")),
+        machine_name=st.sampled_from(("skl", "knl", "a64fx")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_loads_or_raises_typed_error(self, text, machine_name):
+        try:
+            m = from_perf_output(text, get_machine(machine_name), elapsed_seconds=1.0)
+        except ReproError:
+            return
+        assert 0 <= m.bandwidth_bytes < math.inf
+        assert 0.0 <= m.prefetch_fraction <= 1.0
+
+    @pytest.mark.parametrize(
+        "negative",
+        [
+            "-1000,,OFFCORE_RESPONSE_1:PF_ANY:L3_MISS_LOCAL",
+            "  -1,000      OFFCORE_RESPONSE_1:PF_ANY:L3_MISS_LOCAL",
+            "  -7      OFFCORE_RESPONSE_1:PF_ANY:L3_MISS_LOCAL",
+        ],
+    )
+    def test_negative_count_names_the_event(self, skl, negative):
+        text = f"1000,,OFFCORE_RESPONSE_0:ANY_REQUEST:L3_MISS_LOCAL\n{negative}\n"
+        with pytest.raises(
+            ConfigurationError, match="line 2: event 'OFFCORE_RESPONSE_1:PF_ANY"
+        ):
+            from_perf_output(text, skl, elapsed_seconds=1.0)
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "1e400"])
+    def test_non_finite_count_rejected(self, skl, count):
+        text = f"{count},,OFFCORE_RESPONSE_0:ANY_REQUEST:L3_MISS_LOCAL\n"
+        with pytest.raises(ConfigurationError, match="finite"):
+            from_perf_output(text, skl, elapsed_seconds=1.0)
+
+    @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -1.0])
+    def test_non_finite_elapsed_rejected(self, skl, elapsed):
+        text = "1000,,OFFCORE_RESPONSE_0:ANY_REQUEST:L3_MISS_LOCAL\n"
+        with pytest.raises(ConfigurationError, match="elapsed time"):
+            from_perf_output(text, skl, elapsed_seconds=elapsed)

@@ -575,7 +575,7 @@ class TestBarrierRule:
     def test_resident_reads_guarded(self):
         text = (
             "def count(core):\n"
-            "    return core.l1_array.resident_lines() + core.tlb.resident_pages\n"
+            "    return core.l1_array.resident_lines(), core.l1_array._sets\n"
         )
         result = _lint("BARRIER", SIM / "h.py", text)
         assert [v.rule_id for v in result.violations] == ["BARRIER001"] * 2
@@ -586,7 +586,6 @@ class TestBarrierRule:
             "    return self._sets[0]\n"
         )
         assert _lint("BARRIER", SIM / "cache.py", text).violations == []
-        assert _lint("BARRIER", SIM / "tlb.py", text).violations == []
         assert (
             _lint("BARRIER", Path("src/repro/core/x.py"), text).violations == []
         )

@@ -81,8 +81,6 @@ class TestDigestStability:
             {"sim_cores": 1},
             {"window_per_core": 8},
             {"hw_prefetch": False},
-            {"l1_hit_cycles": 5.0},
-            {"tlb_entries": 64},
         ],
     )
     def test_any_config_parameter_changes_digest(self, skl_inputs, override):

@@ -136,7 +136,7 @@ def test_batch_replay_checks_run(sanitize, skl):
     )
     run_trace(
         trace,
-        SimConfig(machine=skl, sim_cores=2, batch=True, tlb_entries=64),
+        SimConfig(machine=skl, sim_cores=2, batch=True),
     )
     report = last_report()
     assert report is not None and report.ok
@@ -156,7 +156,7 @@ def test_paper_workloads_validate_under_sanitizer(
     trace = get_workload(workload).generate_trace(
         machine, spec=TraceSpec(threads=2, accesses_per_thread=400)
     )
-    run_trace(trace, SimConfig(machine=machine, sim_cores=2, tlb_entries=64))
+    run_trace(trace, SimConfig(machine=machine, sim_cores=2))
     report = last_report()
     assert report is not None and report.ok
     assert all(row["windows_checked"] > 0 for row in report.queues)

@@ -29,7 +29,6 @@ from repro.machines import get_machine
 from repro.sim import ColumnarThreadTrace, ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
 from repro.sim.coltrace import KIND_CODES
-from repro.sim.tlb import Tlb
 from repro.sim.trace import AccessKind
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec
@@ -95,10 +94,9 @@ class TestFingerprintEquivalence:
         window=st.integers(2, 24),
         miss_rate=st.sampled_from([0.0, 0.02, 0.3]),
         hw_prefetch=st.booleans(),
-        tlb_entries=st.sampled_from([0, 32]),
     )
     def test_property_mixed_traces(
-        self, seed, n, machine, window, miss_rate, hw_prefetch, tlb_entries
+        self, seed, n, machine, window, miss_rate, hw_prefetch
     ):
         m = get_machine(machine)
         trace = _mixed_trace(
@@ -114,7 +112,6 @@ class TestFingerprintEquivalence:
             sim_cores=2,
             window_per_core=window,
             hw_prefetch=hw_prefetch,
-            tlb_entries=tlb_entries,
         )
         assert event.fingerprint() == batch.fingerprint()
 
@@ -297,45 +294,3 @@ class TestCacheProbeSurface:
         cache.touch_batch(foreign, np.zeros(1, dtype=bool))
         with pytest.raises(SimulationError):
             cache.flush_batch()
-
-
-class TestTlbProbeSurface:
-    """Tlb.probe_batch/touch_batch agree with sequential access()."""
-
-    def _warm_tlb(self, seed: int, entries: int = 48):
-        tlb = Tlb(entries)
-        rng = np.random.default_rng(seed)
-        for page in rng.integers(0, 64, 200).tolist():
-            tlb.access(page * 4096)
-        return tlb
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
-    def test_probe_batch_matches_sequential(self, seed, n):
-        tlb = self._warm_tlb(seed)
-        rng = np.random.default_rng(seed + 1)
-        addrs = (rng.integers(0, 96, n) * 4096 + rng.integers(0, 4096, n)).astype(
-            np.uint64
-        )
-        got = tlb.probe_batch(addrs)
-        resident = set(tlb._pages)
-        expected = [int(a) // 4096 in resident for a in addrs.tolist()]
-        assert got.tolist() == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
-    def test_touch_batch_matches_sequential(self, seed, n):
-        batch_tlb = self._warm_tlb(seed)
-        scalar_tlb = self._warm_tlb(seed)
-        rng = np.random.default_rng(seed + 1)
-        addrs = (rng.integers(0, 96, n) * 4096).astype(np.uint64)
-        hits = batch_tlb.probe_batch(addrs)
-        k = int(np.argmin(hits)) if not hits.all() else n
-        if k == 0:
-            return
-        batch_tlb.touch_batch(addrs[:k])
-        batch_tlb.flush_batch()
-        for addr in addrs[:k].tolist():
-            assert scalar_tlb.access(int(addr))
-        assert batch_tlb._pages == scalar_tlb._pages
-        assert batch_tlb.stats.hits == scalar_tlb.stats.hits

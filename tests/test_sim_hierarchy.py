@@ -1,5 +1,6 @@
 """Hierarchy integration: full request flow through L1/L2/MC."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.sim import (
     ColumnarThreadTrace,
     ColumnarTrace,
     Hierarchy,
+    LevelStats,
     SimConfig,
     run_trace,
     trace_from_addresses,
@@ -56,6 +58,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(machine=skl, sim_cores=1, threads_per_core=3)
 
+    def test_six_settable_fields(self):
+        # Hit latencies and prefetcher aggressiveness are constants; the
+        # hierarchy models no TLB and no shared L3.
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "machine",
+            "sim_cores",
+            "threads_per_core",
+            "window_per_core",
+            "hw_prefetch",
+            "batch",
+        ]
+
     def test_window_split_across_threads(self, knl):
         cfg = SimConfig(machine=knl, sim_cores=1, threads_per_core=4, window_per_core=16)
         assert cfg.window_per_thread == 4
@@ -100,6 +114,10 @@ class TestRandomWorkload:
     def test_bandwidth_below_scaled_peak(self, skl, stats):
         slice_peak = skl.memory.peak_bw_bytes * 2 / skl.active_cores
         assert 0 < stats.bandwidth_bytes_per_s() <= slice_peak
+
+    def test_l3_stats_always_zero(self, stats):
+        # No shared L3 is simulated: L2 misses go straight to memory.
+        assert stats.l3 == LevelStats()
 
 
 class TestStreamingWorkload:
